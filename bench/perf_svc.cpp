@@ -5,8 +5,10 @@
 //    historical single-lock cache, shards=8 the daemon's default; the
 //    quotient is the striping win),
 //  * frame-body encoding of a compile response (what `keep_text`
-//    memoization saves per warm request), and
-//  * the single-writev frame send at realistic payload sizes.
+//    memoization saves per warm request),
+//  * the single-writev frame send at realistic payload sizes, and
+//  * the whole in-process warm compile through `svc::Engine` (everything a
+//    warm daemon request does except the socket and the queue handoff).
 //
 // The committed baseline is bench/BENCH_svc.json; tools/bench_diff.py
 // gates regressions against it (advisory in CI — see .github/workflows).
@@ -28,6 +30,7 @@
 #include "io/pattern_io.hpp"
 #include "sched/combined.hpp"
 #include "sched/scheduler.hpp"
+#include "svc/api.hpp"
 #include "svc/serialize.hpp"
 #include "svc/wire.hpp"
 #include "topo/torus.hpp"
@@ -100,7 +103,7 @@ void BM_CacheWarmHit(benchmark::State& state) {
   for (auto _ : state) {
     auto cached = fixture.cache.lookup(fixture.keys[i++ % kKeys]);
     benchmark::DoNotOptimize(cached);
-    hits += cached.has_value();
+    hits += cached != nullptr;
   }
   state.SetItemsProcessed(state.iterations());
   if (hits != static_cast<std::int64_t>(state.iterations()))
@@ -179,6 +182,26 @@ void BM_FrameWrite(benchmark::State& state) {
       static_cast<std::int64_t>(svc::kHeaderSize + frame.payload.size()));
 }
 BENCHMARK(BM_FrameWrite)->Arg(64)->Arg(4096)->Arg(65536);
+
+// One warm `svc::Engine::compile` of a 64-node permutation already in the
+// engine's shared cache: pipeline resolve, cache key, shared-entry hit,
+// the per-response `validate_against` check and the response assembly.
+void BM_EngineCompileWarm(benchmark::State& state) {
+  svc::Engine engine;
+  svc::CompileRequest request;
+  request.pattern = shift_pattern(0);
+  (void)engine.compile(request);
+  for (auto _ : state) {
+    auto response = engine.compile(request);
+    if (!response.cache_hit) {
+      state.SkipWithError("warm compile missed the cache");
+      break;
+    }
+    benchmark::DoNotOptimize(response);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EngineCompileWarm);
 
 }  // namespace
 

@@ -56,9 +56,9 @@ std::vector<std::string> fingerprints_of(const core::Schedule& schedule) {
   return fps;
 }
 
-CachedCompilation to_cached(const CompiledPhase& phase, bool combined) {
+CachedCompilation to_cached(CompiledPhase phase, bool combined) {
   CachedCompilation cached;
-  cached.schedule = phase.schedule;
+  cached.schedule = std::move(phase.schedule);
   cached.lower_bound = phase.lower_bound;
   // Winner provenance only exists for the combined scheduler; other
   // schedulers store the empty string and round-trip it back to the
@@ -67,23 +67,24 @@ CachedCompilation to_cached(const CompiledPhase& phase, bool combined) {
   return cached;
 }
 
-PhaseCompilation from_cached(CachedCompilation cached) {
+/// Closed vocabulary: "" (a scheduler without winner provenance) round-
+/// trips to the CompiledPhase default; the two combined-scheduler branch
+/// names map exactly.  Anything else is a corrupt entry that slipped past
+/// the disk tier's validation — refuse to guess.
+sched::CombinedWinner winner_of(const std::string& winner) {
+  if (winner == "ordered-aapc") return sched::CombinedWinner::kOrderedAapc;
+  if (winner.empty() || winner == "coloring")
+    return sched::CombinedWinner::kColoring;
+  throw std::invalid_argument("cache-entry-corrupt: unknown winner '" +
+                              winner + "'");
+}
+
+PhaseCompilation from_cached(const CachedCompilation& cached) {
   PhaseCompilation result;
-  result.phase.schedule = std::move(cached.schedule);
+  result.phase.schedule = cached.schedule;
   result.phase.lower_bound = cached.lower_bound;
-  // Closed vocabulary: "" (a scheduler without winner provenance) round-
-  // trips to the CompiledPhase default; the two combined-scheduler branch
-  // names map exactly.  Anything else is a corrupt entry that slipped past
-  // the disk tier's validation — refuse to guess.
-  if (cached.winner == "ordered-aapc") {
-    result.phase.winner = sched::CombinedWinner::kOrderedAapc;
-  } else if (cached.winner == "coloring") {
-    result.phase.winner = sched::CombinedWinner::kColoring;
-  } else if (!cached.winner.empty()) {
-    throw std::invalid_argument("cache-entry-corrupt: unknown winner '" +
-                                cached.winner + "'");
-  }
-  result.schedule_text = std::move(cached.schedule_text);
+  result.phase.winner = winner_of(cached.winner);
+  result.schedule_text = cached.schedule_text;
   result.cache_hit = true;
   return result;
 }
@@ -256,7 +257,9 @@ StitchReport stitch_program(CompiledProgram& compiled) {
 Pipeline::Pipeline(const topo::TorusNetwork& net, PipelineOptions options)
     : net_(&net),
       options_(std::move(options)),
-      scheduler_(&sched::registry().at(options_.scheduler)) {
+      scheduler_(&sched::registry().at(options_.scheduler)),
+      topology_fingerprint_(topology_fingerprint(net)),
+      options_fingerprint_(options_.sched.fingerprint()) {
   // The single-pattern compiler front-ends the combined scheduler with a
   // precomputed AAPC decomposition; other schedulers don't need it.
   if (scheduler_->name() == "combined")
@@ -285,28 +288,49 @@ CompiledPhase Pipeline::cold_compile(const core::RequestSet& pattern,
   return phase;
 }
 
+CacheKey Pipeline::key_for(const core::RequestSet& pattern) const {
+  CacheKey key;
+  key.topology = topology_fingerprint_;
+  key.scheduler = scheduler_->name();
+  key.options = options_fingerprint_;
+  key.pattern = pattern;
+  return key;
+}
+
 PhaseCompilation Pipeline::compile_phase(const core::RequestSet& pattern) {
   return compile_phase(pattern, options_.sched.counters);
 }
 
 PhaseCompilation Pipeline::compile_phase(const core::RequestSet& pattern,
                                          obs::SchedCounters* counters) {
-  const bool combined = compiler_ != nullptr;
-  if (!cache_)
-    return PhaseCompilation{cold_compile(pattern, counters), false, false};
+  const auto shared = compile_shared(pattern, counters);
+  PhaseCompilation result = from_cached(*shared.entry);
+  result.cache_hit = shared.cache_hit;
+  result.disk_hit = shared.disk_hit;
+  return result;
+}
 
-  const CacheStats before = cache_->stats();
-  const auto key = make_cache_key(*net_, pattern, scheduler_->name(),
-                                  options_.sched);
+SharedCompilation Pipeline::compile_shared(const core::RequestSet& pattern,
+                                           obs::SchedCounters* counters) {
+  const bool combined = compiler_ != nullptr;
+  SharedCompilation result;
+  if (!cache_) {
+    result.entry = std::make_shared<const CachedCompilation>(
+        to_cached(cold_compile(pattern, counters), combined));
+    result.winner = winner_of(result.entry->winner);
+    return result;
+  }
+
   // Single-flight get-or-compile: under concurrency, one caller pays the
   // cold compile per missing key and everyone else takes a memory hit.
   bool from_disk = false;
   bool computed = false;
-  auto cached = cache_->get_or_compute(
-      key,
+  std::int64_t quarantined = 0;
+  result.entry = cache_->get_or_compute(
+      key_for(pattern),
       [&] { return to_cached(cold_compile(pattern, counters), combined); },
-      &from_disk, &computed);
-  PhaseCompilation result = from_cached(std::move(cached));
+      &from_disk, &computed, &quarantined);
+  result.winner = winner_of(result.entry->winner);
   result.cache_hit = !computed;
   result.disk_hit = from_disk;
   if (counters) {
@@ -318,10 +342,7 @@ PhaseCompilation Pipeline::compile_phase(const core::RequestSet& pattern,
     counters->cache_misses = result.cache_hit ? 0 : 1;
     // Incident counter: only surfaces when something was quarantined, so
     // healthy runs keep their report documents unchanged.
-    const CacheStats after = cache_->stats();
-    if (after.disk_quarantined > before.disk_quarantined)
-      counters->cache_quarantined =
-          after.disk_quarantined - before.disk_quarantined;
+    if (quarantined > 0) counters->cache_quarantined = quarantined;
   }
   return result;
 }
@@ -418,11 +439,10 @@ PipelineProgram Pipeline::compile(const Program& program) {
   std::vector<CacheKey> keys(distinct.size());
   std::vector<std::size_t> cold;
   for (std::size_t j = 0; j < distinct.size(); ++j) {
-    keys[j] = make_cache_key(*net_, patterns[distinct[j]], scheduler_->name(),
-                             options_.sched);
+    keys[j] = key_for(patterns[distinct[j]]);
     if (cache_) {
-      if (auto hit = cache_->lookup(keys[j])) {
-        results[j] = from_cached(std::move(*hit));
+      if (const auto hit = cache_->lookup(keys[j])) {
+        results[j] = from_cached(*hit);
         continue;
       }
     }

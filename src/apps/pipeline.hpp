@@ -92,6 +92,19 @@ struct PhaseCompilation {
   std::string schedule_text;
 };
 
+/// One compiled pattern as the cache holds it: the shared, immutable entry
+/// plus this call's provenance.  The copy-free form of `PhaseCompilation`
+/// (the service engine answers straight from it).
+struct SharedCompilation {
+  /// Never null.  `entry->schedule_text` is filled when
+  /// `PipelineOptions::cache_keep_text` is set and the cache is on.
+  CachedPtr entry;
+  /// `entry->winner` decoded.
+  sched::CombinedWinner winner = sched::CombinedWinner::kColoring;
+  bool cache_hit = false;
+  bool disk_hit = false;
+};
+
 /// What the stitching pass found at each phase boundary.
 struct StitchReport {
   /// Shared (identical, identically-placed) configurations at each
@@ -166,6 +179,13 @@ class Pipeline {
   PhaseCompilation compile_phase(const core::RequestSet& pattern,
                                  obs::SchedCounters* counters);
 
+  /// The path both `compile_phase` overloads wrap: the same compilation
+  /// and accounting, but a hit hands back the cache's shared entry
+  /// instead of copying it out.  Without a cache the cold compile is
+  /// wrapped in a fresh entry.
+  SharedCompilation compile_shared(const core::RequestSet& pattern,
+                                   obs::SchedCounters* counters);
+
   /// Outcome of a reuse-vs-recompile decision.
   struct ReuseCompilation {
     PhaseCompilation compilation;
@@ -208,12 +228,17 @@ class Pipeline {
  private:
   CompiledPhase cold_compile(const core::RequestSet& pattern,
                              obs::SchedCounters* counters) const;
+  /// The cache key of `pattern` under this pipeline's scheduler and
+  /// options, from fingerprints computed once at construction.
+  CacheKey key_for(const core::RequestSet& pattern) const;
 
   const topo::TorusNetwork* net_;
   PipelineOptions options_;
   const sched::Scheduler* scheduler_;
   std::unique_ptr<CommCompiler> compiler_;
   std::unique_ptr<ScheduleCache> cache_;
+  std::string topology_fingerprint_;
+  std::string options_fingerprint_;
 };
 
 }  // namespace optdm::apps

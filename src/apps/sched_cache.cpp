@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -71,22 +72,46 @@ std::size_t round_up_pow2(std::size_t value) {
 }  // namespace
 
 std::string topology_fingerprint(const topo::Network& net) {
-  std::ostringstream out;
-  out << net.name() << "|v" << net.vertex_count() << "|l" << net.link_count();
-  return out.str();
+  return net.name() + "|v" + std::to_string(net.vertex_count()) + "|l" +
+         std::to_string(net.link_count());
 }
 
 std::string CacheKey::canonical() const {
-  std::ostringstream out;
-  out << "optdm-cache-key/1\n"
-      << "topology " << topology << '\n'
-      << "scheduler " << scheduler << '\n'
-      << "options " << options << '\n'
-      << "frame " << frame << '\n'
-      << "pattern " << pattern.size() << '\n';
-  for (const auto& request : pattern)
-    out << request.src << '>' << request.dst << '\n';
-  return out.str();
+  // One buffer sized for the worst case, filled with `std::to_chars`; the
+  // bytes match the historical ostream rendering (plain decimal integers),
+  // so on-disk entry names stay valid.  A request line is at most two
+  // 11-character integers plus '>' and '\n'.
+  constexpr std::string_view kHeader = "optdm-cache-key/1\ntopology ";
+  std::string out(kHeader.size() + topology.size() + scheduler.size() +
+                      options.size() + 96 + pattern.size() * 24,
+                  '\0');
+  char* cursor = out.data();
+  char* const end = cursor + out.size();
+  const auto text = [&](std::string_view part) {
+    cursor = std::copy(part.begin(), part.end(), cursor);
+  };
+  const auto decimal = [&](auto value) {
+    cursor = std::to_chars(cursor, end, value).ptr;
+  };
+  text(kHeader);
+  text(topology);
+  text("\nscheduler ");
+  text(scheduler);
+  text("\noptions ");
+  text(options);
+  text("\nframe ");
+  decimal(frame);
+  text("\npattern ");
+  decimal(pattern.size());
+  text("\n");
+  for (const auto& request : pattern) {
+    decimal(request.src);
+    *cursor++ = '>';
+    decimal(request.dst);
+    *cursor++ = '\n';
+  }
+  out.resize(static_cast<std::size_t>(cursor - out.data()));
+  return out;
 }
 
 std::uint64_t CacheKey::hash() const { return util::fnv1a64(canonical()); }
@@ -123,15 +148,15 @@ ScheduleCache::ScheduleCache(const topo::Network& net, Options options)
     shards_.push_back(std::make_unique<Shard>());
 }
 
-std::optional<CachedCompilation> ScheduleCache::lookup(const CacheKey& key,
-                                                       bool* from_disk) {
+CachedPtr ScheduleCache::lookup(const CacheKey& key, bool* from_disk) {
   if (from_disk) *from_disk = false;
   std::string canonical = key.canonical();
-  Shard& shard = shard_of(util::fnv1a64(canonical));
+  const std::uint64_t hash = util::fnv1a64(canonical);
+  Shard& shard = *shards_[shard_index(hash)];
   std::lock_guard lock(shard.mutex);
   if (key.topology != fingerprint_) {
     ++shard.stats.misses;
-    return std::nullopt;
+    return nullptr;
   }
   if (const auto it = shard.index.find(canonical); it != shard.index.end()) {
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
@@ -139,25 +164,26 @@ std::optional<CachedCompilation> ScheduleCache::lookup(const CacheKey& key,
     return it->second->value;
   }
   if (!options_.disk_dir.empty()) {
-    if (auto loaded = disk_lookup(shard, key, canonical)) {
+    if (auto loaded = disk_lookup(shard, canonical, hash)) {
       ++shard.stats.disk_hits;
       if (from_disk) *from_disk = true;
-      auto copy = *loaded;
-      insert_locked(shard, std::move(canonical), std::move(*loaded));
-      return copy;
+      insert_locked(shard, std::move(canonical), loaded);
+      return loaded;
     }
   }
   ++shard.stats.misses;
-  return std::nullopt;
+  return nullptr;
 }
 
-CachedCompilation ScheduleCache::get_or_compute(
+CachedPtr ScheduleCache::get_or_compute(
     const CacheKey& key, const std::function<CachedCompilation()>& compute,
-    bool* from_disk, bool* computed) {
+    bool* from_disk, bool* computed, std::int64_t* quarantined) {
   if (from_disk) *from_disk = false;
   if (computed) *computed = false;
+  if (quarantined) *quarantined = 0;
   std::string canonical = key.canonical();
-  Shard& shard = shard_of(util::fnv1a64(canonical));
+  const std::uint64_t hash = util::fnv1a64(canonical);
+  Shard& shard = *shards_[shard_index(hash)];
   std::unique_lock lock(shard.mutex);
 
   if (key.topology != fingerprint_) {
@@ -167,7 +193,7 @@ CachedCompilation ScheduleCache::get_or_compute(
     ++shard.stats.misses;
     lock.unlock();
     if (computed) *computed = true;
-    return compute();
+    return std::make_shared<const CachedCompilation>(compute());
   }
 
   for (;;) {
@@ -183,12 +209,17 @@ CachedCompilation ScheduleCache::get_or_compute(
   }
 
   if (!options_.disk_dir.empty()) {
-    if (auto loaded = disk_lookup(shard, key, canonical)) {
+    // The shard lock is held across the probe, so the quarantine delta is
+    // this call's own.
+    const std::int64_t quarantined_before = shard.stats.disk_quarantined;
+    auto loaded = disk_lookup(shard, canonical, hash);
+    if (quarantined)
+      *quarantined = shard.stats.disk_quarantined - quarantined_before;
+    if (loaded) {
       ++shard.stats.disk_hits;
       if (from_disk) *from_disk = true;
-      auto copy = *loaded;
-      insert_locked(shard, std::move(canonical), std::move(*loaded));
-      return copy;
+      insert_locked(shard, std::move(canonical), loaded);
+      return loaded;
     }
   }
 
@@ -197,14 +228,11 @@ CachedCompilation ScheduleCache::get_or_compute(
   shard.inflight.insert(canonical);
   lock.unlock();
 
-  CachedCompilation value;
+  CachedPtr value;
   try {
-    value = compute();
-    if (options_.keep_text && value.schedule_text.empty()) {
-      std::ostringstream text;
-      io::write_schedule(text, *net_, value.schedule);
-      value.schedule_text = text.str();
-    }
+    CachedCompilation computed_value = compute();
+    memoize_text(computed_value);
+    value = std::make_shared<const CachedCompilation>(std::move(computed_value));
   } catch (...) {
     lock.lock();
     shard.inflight.erase(canonical);
@@ -217,37 +245,42 @@ CachedCompilation ScheduleCache::get_or_compute(
 
   lock.lock();
   shard.inflight.erase(canonical);
-  CachedCompilation result = value;
-  insert_locked(shard, std::move(canonical), std::move(value));
+  insert_locked(shard, std::move(canonical), value);
   ++shard.stats.insertions;
-  if (!options_.disk_dir.empty()) disk_store(key, shard.lru.front());
+  if (!options_.disk_dir.empty()) disk_store(shard.lru.front(), hash);
   shard.ready.notify_all();
-  return result;
+  return value;
 }
 
 void ScheduleCache::store(const CacheKey& key, const CachedCompilation& value) {
   if (key.topology != fingerprint_) return;
   std::string canonical = key.canonical();
-  Shard& shard = shard_of(util::fnv1a64(canonical));
+  const std::uint64_t hash = util::fnv1a64(canonical);
+  Shard& shard = *shards_[shard_index(hash)];
 
+  // Serialize before taking the lock — the text is pure function of the
+  // schedule, and this is the expensive part of a store.
   CachedCompilation copy = value;
-  if (options_.keep_text && copy.schedule_text.empty()) {
-    // Serialize before taking the lock — the text is pure function of the
-    // schedule, and this is the expensive part of a store.
-    std::ostringstream text;
-    io::write_schedule(text, *net_, copy.schedule);
-    copy.schedule_text = text.str();
-  }
+  memoize_text(copy);
+  auto entry = std::make_shared<const CachedCompilation>(std::move(copy));
 
   std::lock_guard lock(shard.mutex);
   if (const auto it = shard.index.find(canonical); it != shard.index.end()) {
-    it->second->value = std::move(copy);
+    // Readers still holding the old entry keep it; new hits see this one.
+    it->second->value = std::move(entry);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   } else {
-    insert_locked(shard, std::move(canonical), std::move(copy));
+    insert_locked(shard, std::move(canonical), std::move(entry));
     ++shard.stats.insertions;
   }
-  if (!options_.disk_dir.empty()) disk_store(key, shard.lru.front());
+  if (!options_.disk_dir.empty()) disk_store(shard.lru.front(), hash);
+}
+
+void ScheduleCache::memoize_text(CachedCompilation& value) const {
+  if (!options_.keep_text || !value.schedule_text.empty()) return;
+  std::ostringstream text;
+  io::write_schedule(text, *net_, value.schedule);
+  value.schedule_text = text.str();
 }
 
 CacheStats ScheduleCache::stats() const {
@@ -266,7 +299,7 @@ CacheStats ScheduleCache::shard_stats(std::size_t shard) const {
 }
 
 void ScheduleCache::insert_locked(Shard& shard, std::string canonical,
-                                  CachedCompilation value) {
+                                  CachedPtr value) {
   while (shard.lru.size() >= shard_capacity_) {
     shard.index.erase(shard.lru.back().canonical);
     shard.lru.pop_back();
@@ -277,18 +310,18 @@ void ScheduleCache::insert_locked(Shard& shard, std::string canonical,
                       shard.lru.begin());
 }
 
-std::string ScheduleCache::entry_path(const CacheKey& key) const {
-  return (std::filesystem::path(options_.disk_dir) / (hex64(key.hash()) + ".json"))
+std::string ScheduleCache::entry_path(std::uint64_t hash) const {
+  return (std::filesystem::path(options_.disk_dir) / (hex64(hash) + ".json"))
       .string();
 }
 
-std::optional<CachedCompilation> ScheduleCache::disk_lookup(
-    Shard& shard, const CacheKey& key, const std::string& canonical) {
-  const std::string path = entry_path(key);
+CachedPtr ScheduleCache::disk_lookup(Shard& shard, const std::string& canonical,
+                                     std::uint64_t hash) {
+  const std::string path = entry_path(hash);
   std::optional<io::CacheEntry> entry;
   {
     std::ifstream in(path, std::ios::binary);
-    if (!in) return std::nullopt;  // absent: a plain miss, not a reject
+    if (!in) return nullptr;  // absent: a plain miss, not a reject
     entry = io::read_cache_entry(in);
   }
   if (!entry) {
@@ -297,7 +330,7 @@ std::optional<CachedCompilation> ScheduleCache::disk_lookup(
     // commit a clean replacement without racing a re-read of the wreck.
     ++shard.stats.disk_rejects;
     quarantine_locked(path, shard.stats);
-    return std::nullopt;
+    return nullptr;
   }
   // Hash collision or a stale file from a different run configuration
   // (kCacheEntryStale): the stored full key is the ground truth, the
@@ -305,7 +338,7 @@ std::optional<CachedCompilation> ScheduleCache::disk_lookup(
   if (entry->key != canonical) {
     ++shard.stats.disk_rejects;
     quarantine_locked(path, shard.stats);
-    return std::nullopt;
+    return nullptr;
   }
 
   // The winner field is a closed vocabulary ("" for schedulers without
@@ -316,7 +349,7 @@ std::optional<CachedCompilation> ScheduleCache::disk_lookup(
       entry->winner != "ordered-aapc") {
     ++shard.stats.disk_rejects;
     quarantine_locked(path, shard.stats);
-    return std::nullopt;
+    return nullptr;
   }
 
   CachedCompilation loaded;
@@ -331,13 +364,13 @@ std::optional<CachedCompilation> ScheduleCache::disk_lookup(
     // rewrites the address.
     ++shard.stats.disk_rejects;
     quarantine_locked(path, shard.stats);
-    return std::nullopt;
+    return nullptr;
   }
   // The document's schedule text is the `write_schedule` serialization the
   // store committed; revalidation just proved it parses back against this
   // network, so it is exactly the text a hit should serve.
   if (options_.keep_text) loaded.schedule_text = std::move(entry->schedule_text);
-  return loaded;
+  return std::make_shared<const CachedCompilation>(std::move(loaded));
 }
 
 void ScheduleCache::quarantine_locked(const std::string& path,
@@ -355,22 +388,23 @@ void ScheduleCache::quarantine_locked(const std::string& path,
   ++stats.disk_quarantined;
 }
 
-void ScheduleCache::disk_store(const CacheKey& key, const Entry& entry) {
+void ScheduleCache::disk_store(const Entry& entry, std::uint64_t hash) {
   std::error_code ec;
   std::filesystem::create_directories(options_.disk_dir, ec);
   if (ec) return;  // disk tier is best-effort; memory tier already updated
 
   io::CacheEntry serialized;
+  const CachedCompilation& value = *entry.value;
   serialized.key = entry.canonical;
-  serialized.lower_bound = entry.value.lower_bound;
-  serialized.winner = entry.value.winner;
-  if (!entry.value.schedule_text.empty()) {
+  serialized.lower_bound = value.lower_bound;
+  serialized.winner = value.winner;
+  if (!value.schedule_text.empty()) {
     // keep_text already serialized this schedule; the document wants the
     // same bytes.
-    serialized.schedule_text = entry.value.schedule_text;
+    serialized.schedule_text = value.schedule_text;
   } else {
     std::ostringstream schedule_text;
-    io::write_schedule(schedule_text, *net_, entry.value.schedule);
+    io::write_schedule(schedule_text, *net_, value.schedule);
     serialized.schedule_text = schedule_text.str();
   }
 
@@ -386,7 +420,7 @@ void ScheduleCache::disk_store(const CacheKey& key, const Entry& entry) {
   // temp, so readers of the final address see the old document or the new
   // one — never a prefix.  The whole tier stays best-effort: the memory
   // tier is already updated, so every bail-out below is just "no persist".
-  const std::string final_path = entry_path(key);
+  const std::string final_path = entry_path(hash);
   const std::string tmp_path =
       final_path + ".tmp." + std::to_string(::getpid());
   int fd = ::open(tmp_path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);

@@ -6,7 +6,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -16,6 +15,7 @@
 #include "core/schedule.hpp"
 #include "sched/scheduler.hpp"
 #include "topo/network.hpp"
+#include "util/hash.hpp"
 
 /// \file sched_cache.hpp
 /// Content-addressed schedule cache — the memoization layer of the
@@ -35,10 +35,16 @@
 ///    `Options::shards` independent LRU shards so concurrent requests
 ///    against different keys never serialize on one mutex (the service
 ///    daemon's hot path).  A key's shard is the low bits of its FNV-1a
-///    hash — the same hash that names its on-disk entry, so two shards
-///    never touch the same file.  `shards = 1` (the default) is
-///    behaviorally identical to the historical single-lock cache:
-///    one mutex, one LRU list, one capacity budget.
+///    hash after a `util::mix64` finalizer (raw FNV-1a low bits are
+///    constant across permutation keys); the raw hash names its on-disk
+///    entry, so two shards never touch the same file.  `shards = 1` (the
+///    default) is behaviorally identical to the historical single-lock
+///    cache: one mutex, one LRU list, one capacity budget.
+///
+/// Entries are immutable and shared: a hit hands out a
+/// `std::shared_ptr<const CachedCompilation>` (a reference count, not a
+/// copy), and a reader holding one keeps it valid through any later
+/// eviction or refresh of its key.
 ///  * an optional on-disk tier (one versioned JSON document per entry,
 ///    `io/cache_io.hpp`); corrupt, stale, or mismatched entries are
 ///    **quarantined** — renamed to `<entry>.quarantined` so the evidence
@@ -85,11 +91,12 @@ struct CacheKey {
   core::RequestSet pattern;
 
   /// Canonical string serialization; two keys are equal iff their
-  /// canonical strings are equal.
+  /// canonical strings are equal.  The text is pinned: it is hashed into
+  /// on-disk entry names and stored inside each entry.
   std::string canonical() const;
 
   /// Stable 64-bit FNV-1a hash of `canonical()`; names on-disk entries
-  /// and selects the in-memory shard.
+  /// and, through `util::mix64`, selects the in-memory shard.
   std::uint64_t hash() const;
 };
 
@@ -113,6 +120,10 @@ struct CachedCompilation {
   /// path), empty otherwise.  Byte-identical to serializing `schedule`.
   std::string schedule_text;
 };
+
+/// How the cache hands out entries: shared and immutable, so a hit takes a
+/// reference instead of copying the schedule and its text.
+using CachedPtr = std::shared_ptr<const CachedCompilation>;
 
 /// Monotonic counters of one cache's traffic (whole cache, or one shard
 /// via `shard_stats`).
@@ -146,9 +157,8 @@ struct CacheStats {
 };
 
 /// Two-tier content-addressed cache of compiled schedules for one
-/// network.  Thread-safe; copyless on the store path (entries are owned
-/// by the cache), copying on the hit path (the caller gets its own
-/// `Schedule` value).
+/// network.  Thread-safe; a hit shares the stored entry (`CachedPtr`)
+/// instead of copying it.
 class ScheduleCache {
  public:
   struct Options {
@@ -173,28 +183,29 @@ class ScheduleCache {
   explicit ScheduleCache(const topo::Network& net);
   ScheduleCache(const topo::Network& net, Options options);
 
-  /// Returns the cached compilation for `key`, or nullopt.  Checks the
+  /// Returns the cached compilation for `key`, or null.  Checks the
   /// memory tier, then the disk tier (a disk hit is promoted into
   /// memory).  A key whose topology fingerprint is not this cache's
   /// network is always a miss.  When `from_disk` is non-null it is set to
   /// whether the hit came from the disk tier — per-lookup provenance that
   /// stays exact when many requests share one cache (the aggregate
   /// `stats()` deltas interleave under concurrency).
-  std::optional<CachedCompilation> lookup(const CacheKey& key,
-                                          bool* from_disk = nullptr);
+  CachedPtr lookup(const CacheKey& key, bool* from_disk = nullptr);
 
   /// Single-flight get-or-compile: returns the cached compilation for
   /// `key`, calling `compute` (outside any lock) to produce it on a miss.
   /// Concurrent callers for the same missing key wait for the first
   /// caller's compute instead of duplicating it, then count as memory
   /// hits.  On return, `*computed` says whether *this* call paid the
-  /// compute and `*from_disk` whether its hit came from the disk tier.
-  /// If `compute` throws, the exception propagates to this caller only
-  /// and one waiter (if any) takes over the compute.
-  CachedCompilation get_or_compute(
-      const CacheKey& key,
-      const std::function<CachedCompilation()>& compute,
-      bool* from_disk = nullptr, bool* computed = nullptr);
+  /// compute, `*from_disk` whether its hit came from the disk tier, and
+  /// `*quarantined` how many on-disk documents this call itself moved
+  /// aside (exact per call, unlike `stats()` deltas under concurrency).
+  /// Never returns null.  If `compute` throws, the exception propagates
+  /// to this caller only and one waiter (if any) takes over the compute.
+  CachedPtr get_or_compute(const CacheKey& key,
+                           const std::function<CachedCompilation()>& compute,
+                           bool* from_disk = nullptr, bool* computed = nullptr,
+                           std::int64_t* quarantined = nullptr);
 
   /// Inserts (or refreshes) an entry; evicts the least-recently-used
   /// entry of the key's shard when over budget, and (when the disk tier
@@ -206,6 +217,11 @@ class ScheduleCache {
 
   /// Stripe count actually in use (power of two).
   std::size_t shard_count() const noexcept { return shards_.size(); }
+
+  /// The stripe `key` lives on: the low bits of `mix64(key.hash())`.
+  std::size_t shard_for(const CacheKey& key) const {
+    return shard_index(key.hash());
+  }
 
   /// Traffic counters of one shard; the per-shard values sum exactly to
   /// `stats()` (pinned by tests and the service smoke).
@@ -248,13 +264,13 @@ class ScheduleCache {
  private:
   struct Entry {
     std::string canonical;
-    CachedCompilation value;
+    CachedPtr value;
   };
   using Lru = std::list<Entry>;
 
   /// One stripe of the in-memory tier: its own lock, LRU budget, traffic
-  /// counters, and single-flight table.  Keys map to shards by the low
-  /// bits of their FNV-1a hash.
+  /// counters, and single-flight table.  Keys map to shards by
+  /// `shard_index`.
   struct Shard {
     mutable std::mutex mutex;
     /// Wakes `get_or_compute` waiters when an in-flight compute lands.
@@ -267,22 +283,25 @@ class ScheduleCache {
     CacheStats stats;
   };
 
-  Shard& shard_of(std::uint64_t hash) noexcept {
-    return *shards_[hash & (shards_.size() - 1)];
+  std::size_t shard_index(std::uint64_t hash) const noexcept {
+    return util::mix64(hash) & (shards_.size() - 1);
   }
 
-  std::optional<CachedCompilation> disk_lookup(Shard& shard,
-                                               const CacheKey& key,
-                                               const std::string& canonical);
-  void disk_store(const CacheKey& key, const Entry& entry);
+  /// Reads, revalidates and returns the on-disk entry at `hash`'s
+  /// address, quarantining it when it does not hold `canonical`'s
+  /// compilation; null when absent or rejected.  Caller holds the lock.
+  CachedPtr disk_lookup(Shard& shard, const std::string& canonical,
+                        std::uint64_t hash);
+  void disk_store(const Entry& entry, std::uint64_t hash);
   /// Moves a rejected on-disk document to `<path>.quarantined` (replacing
   /// any previous quarantine of the same entry) and counts it in `stats`.
   /// Falls back to deletion if the rename fails; never throws.  Caller
   /// holds the lock guarding `stats`.
   static void quarantine_locked(const std::string& path, CacheStats& stats);
-  void insert_locked(Shard& shard, std::string canonical,
-                     CachedCompilation value);
-  std::string entry_path(const CacheKey& key) const;
+  void insert_locked(Shard& shard, std::string canonical, CachedPtr value);
+  /// Fills `schedule_text` when `keep_text` is on and it is empty.
+  void memoize_text(CachedCompilation& value) const;
+  std::string entry_path(std::uint64_t hash) const;
 
   const topo::Network* net_;
   Options options_;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,12 +15,19 @@
 
 namespace optdm::core {
 
+/// Checks that `paths` are pairwise link-disjoint, in time linear in their
+/// count.  Returns a description of the first conflicting pair in (i, j)
+/// order, or nullopt.  Throws `std::invalid_argument` when the paths come
+/// from networks with different link counts.
+std::optional<std::string> validate_disjoint(std::span<const Path> paths);
+
 /// A conflict-free set of established paths.
 ///
 /// The class maintains the union of all member occupancies so membership
 /// tests are O(words).  `add` refuses conflicting paths, keeping the
 /// invariant "no two member paths share a directed link" true by
-/// construction; `validate` re-checks it from scratch for tests.
+/// construction; `validate` re-checks it from scratch (every service
+/// response runs it).
 class Configuration {
  public:
   Configuration() = default;
@@ -42,8 +50,9 @@ class Configuration {
   /// Union of all member link occupancies.
   const LinkSet& used_links() const noexcept { return used_; }
 
-  /// Exhaustive pairwise re-validation (independent of the incremental
-  /// bookkeeping); returns a description of the first violation found.
+  /// Re-validation independent of the incremental bookkeeping, linear in
+  /// the member count; returns a description of the first conflicting
+  /// pair in (i, j) order.
   std::optional<std::string> validate() const;
 
  private:

@@ -7,6 +7,7 @@
 
 #include "aapc/torus_aapc.hpp"
 #include "io/pattern_io.hpp"
+#include "obs/report.hpp"
 #include "patterns/named.hpp"
 #include "sched/combined.hpp"
 #include "sched/scheduler.hpp"
@@ -98,7 +99,8 @@ Engine::Entry& Engine::resolve(const std::string& topology,
   // standard-library versions (the same reason cache entries use it).
   const std::string key = "torus:" + std::to_string(spec.cols) + "x" +
                           std::to_string(spec.rows) + "|" + scheduler;
-  Shard& shard = *shards_[util::fnv1a64(key) % shards_.size()];
+  // Mixed first: raw FNV-1a low bits are weak (see util/hash.hpp).
+  Shard& shard = *shards_[util::mix64(util::fnv1a64(key)) % shards_.size()];
   std::lock_guard lock(shard.mutex);
   if (const auto it = shard.entries.find(key); it != shard.entries.end())
     return *it->second;
@@ -112,39 +114,38 @@ CompileResponse Engine::compile(const CompileRequest& request) {
               &transient);
   check_pattern(request.pattern, *entry.net);
 
+  // The counters only feed the report; without one nothing reads them.
   obs::SchedCounters counters;
-  auto result = entry.pipeline->compile_phase(request.pattern, &counters);
-  const auto& schedule = result.phase.schedule;
+  const auto compiled = entry.pipeline->compile_shared(
+      request.pattern, request.want_report ? &counters : nullptr);
+  // A shared, immutable cache entry: read in place, never copied.
+  const apps::CachedCompilation& cached = *compiled.entry;
+  const auto& schedule = cached.schedule;
   if (const auto err = schedule.validate_against(request.pattern))
     throw Failure(FailureCode::kSvcInternal,
                   "compiled schedule failed validation: " + *err);
 
   CompileResponse response;
   response.degree = schedule.degree();
-  response.lower_bound = result.phase.lower_bound;
+  response.lower_bound = cached.lower_bound;
   if (request.scheduler == "combined")
-    response.winner = std::string(sched::to_string(result.phase.winner));
-  response.cache_hit = result.cache_hit;
-  response.disk_hit = result.disk_hit;
+    response.winner = std::string(sched::to_string(compiled.winner));
+  response.cache_hit = compiled.cache_hit;
+  response.disk_hit = compiled.disk_hit;
   response.cache_enabled = request.use_cache;
-  if (!result.schedule_text.empty()) {
+  if (!cached.schedule_text.empty()) {
     // Warm path: the cache memoized this exact serialization at store
     // time (`cache_keep_text`), byte-identical to serializing afresh.
-    response.schedule_text = std::move(result.schedule_text);
+    response.schedule_text = cached.schedule_text;
   } else {
     std::ostringstream out;
     io::write_schedule(out, *entry.net, schedule);
     response.schedule_text = out.str();
   }
 
-  // Every request emits its RunReport through the observability layer;
-  // the daemon's aggregation sink (when attached) sees it, and the caller
-  // gets the JSON when asked.
-  const auto report = obs::report_schedule(schedule, &counters);
-  if (report_sink_) report_sink_->accept(report);
   if (request.want_report) {
     std::ostringstream out;
-    report.write_json(out);
+    obs::report_schedule(schedule, &counters).write_json(out);
     response.report_json = out.str();
   }
   return response;
@@ -164,29 +165,30 @@ SimulateResponse Engine::simulate(const SimulateRequest& request) {
 
   const auto messages = sim::uniform_messages(request.pattern, request.slots);
 
+  // As in `compile`, the counters only feed the report.
   obs::SchedCounters counters;
-  const auto compiled =
-      entry.pipeline->compile_phase(request.pattern, &counters);
-  const auto& schedule = compiled.phase.schedule;
+  const auto compiled = entry.pipeline->compile_shared(
+      request.pattern, request.want_report ? &counters : nullptr);
+  const auto& schedule = compiled.entry->schedule;
 
   SimulateResponse response;
   response.compiled.degree = schedule.degree();
-  response.compiled.lower_bound = compiled.phase.lower_bound;
+  response.compiled.lower_bound = compiled.entry->lower_bound;
   if (request.scheduler == "combined")
-    response.compiled.winner =
-        std::string(sched::to_string(compiled.phase.winner));
+    response.compiled.winner = std::string(sched::to_string(compiled.winner));
   response.compiled.cache_hit = compiled.cache_hit;
   response.compiled.disk_hit = compiled.disk_hit;
   response.compiled.cache_enabled = request.use_cache;
 
   // The engine builds the compiled run's report through the SimOptions
-  // path — always captured, so the aggregation sink sees every request;
-  // report construction never changes results (null-sink byte-identity is
-  // pinned by the observability tests).
+  // path, only when asked; report construction never changes results
+  // (null-sink byte-identity is pinned by the observability tests).
   obs::CapturingReportSink report_sink;
   sim::SimOptions sim_options;
-  sim_options.counters = &counters;
-  sim_options.report = &report_sink;
+  if (request.want_report) {
+    sim_options.counters = &counters;
+    sim_options.report = &report_sink;
+  }
   const auto tdm =
       sim::simulate_compiled(schedule, messages, {}, sim_options);
   response.tdm_slots = tdm.total_slots;
@@ -218,14 +220,6 @@ SimulateResponse Engine::simulate(const SimulateRequest& request) {
                          : runner.run(grid);
 
   response.supervision = sweep.supervision;
-  const auto& sup = sweep.supervision;
-  if (sup.retries > 0 || sup.salvaged_cells > 0) {
-    counters.shard_retries = sup.retries;
-    counters.shard_restarts_crashed = sup.restarts_crashed;
-    counters.shard_restarts_hung = sup.restarts_hung;
-    counters.shard_restarts_corrupt = sup.restarts_corrupt;
-    counters.salvaged_cells = sup.salvaged_cells;
-  }
 
   for (std::size_t v = 0; v < grid.dynamic.size(); ++v) {
     const auto& cell = sweep.dynamic_cell(0, 0, v);
@@ -259,12 +253,19 @@ SimulateResponse Engine::simulate(const SimulateRequest& request) {
     response.multihop_completed = hop.completed;
   }
 
-  // The report's sched block is refreshed from the final counters:
-  // shard-supervision incidents land after the report was captured.
-  obs::RunReport report = report_sink.last();
-  report.sched = counters;
-  if (report_sink_) report_sink_->accept(report);
   if (request.want_report) {
+    // The report's sched block is refreshed from the final counters:
+    // shard-supervision incidents land after the report was captured.
+    const auto& sup = sweep.supervision;
+    if (sup.retries > 0 || sup.salvaged_cells > 0) {
+      counters.shard_retries = sup.retries;
+      counters.shard_restarts_crashed = sup.restarts_crashed;
+      counters.shard_restarts_hung = sup.restarts_hung;
+      counters.shard_restarts_corrupt = sup.restarts_corrupt;
+      counters.salvaged_cells = sup.salvaged_cells;
+    }
+    obs::RunReport report = report_sink.last();
+    report.sched = counters;
     std::ostringstream out;
     report.write_json(out);
     response.report_json = out.str();

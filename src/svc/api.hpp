@@ -10,7 +10,6 @@
 #include "apps/pipeline.hpp"
 #include "apps/sweep.hpp"
 #include "core/request.hpp"
-#include "obs/report.hpp"
 #include "svc/wire.hpp"
 #include "topo/torus.hpp"
 
@@ -35,12 +34,12 @@
 /// daemon response is byte-identical to the local run of the same request
 /// — the property the soak tests and CI pin.
 ///
-/// Every request executed by an `Engine` emits a `obs::RunReport` through
-/// the observability layer: compile requests report the schedule
-/// (`obs::report_schedule`), simulate requests report the compiled run
-/// (the engine-built report), and an attached `report_sink()` sees each
-/// one.  Responses optionally carry the report JSON back to the caller
-/// (`want_report`).
+/// A request with `want_report` set gets its `obs::RunReport` JSON back:
+/// compile requests report the schedule (`obs::report_schedule`),
+/// simulate requests report the compiled run (the engine-built report).
+/// Requests without it build no report at all, so a warm compile is a
+/// cache lookup, the per-response `validate_against` check, and the
+/// response assembly.
 
 namespace optdm::svc {
 
@@ -191,12 +190,6 @@ class Engine : public Service {
   /// (power of two); empty when no cached pipeline exists yet.
   std::vector<apps::CacheStats> cache_shard_stats() const;
 
-  /// Attaches a sink that receives every request's RunReport (the daemon
-  /// aggregates these).  Null detaches.  The sink must be thread-safe:
-  /// concurrent requests report concurrently.
-  void set_report_sink(obs::ReportSink* sink) { report_sink_ = sink; }
-  obs::ReportSink* report_sink() const noexcept { return report_sink_; }
-
   const Options& options() const noexcept { return options_; }
 
  private:
@@ -220,7 +213,6 @@ class Engine : public Service {
 
   Options options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  obs::ReportSink* report_sink_ = nullptr;
 };
 
 }  // namespace optdm::svc

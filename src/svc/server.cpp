@@ -62,27 +62,10 @@ struct Server::Connection {
   }
 };
 
-/// Report sink shared by every request: counts emissions into the
-/// server's aggregate stats.
-class Server::CountingSink final : public obs::ReportSink {
- public:
-  explicit CountingSink(Server& server) : server_(server) {}
-  void accept(const obs::RunReport&) override {
-    auto& slab = server_.stat_slabs_.local();
-    slab.add(slab.reports_emitted);
-  }
-
- private:
-  Server& server_;
-};
-
 Server::Server(Options options)
     : options_(std::move(options)),
       engine_(std::make_unique<Engine>(options_.engine)),
-      queue_(std::make_unique<JobQueue>(options_.queue_capacity)) {
-  report_sink_ = std::make_unique<CountingSink>(*this);
-  engine_->set_report_sink(report_sink_.get());
-}
+      queue_(std::make_unique<JobQueue>(options_.queue_capacity)) {}
 
 Server::~Server() {
   request_stop();
@@ -302,6 +285,10 @@ void Server::execute(std::shared_ptr<Connection> conn, Frame request) {
       response.type = FrameType::kSimulateResponse;
       response.payload = encode(engine_->simulate(decoded));
     }
+    // `reports-emitted` counts the requests that completed their engine
+    // run: the point a per-request RunReport used to be emitted, so the
+    // stats wire keeps its historical value without building one.
+    slab.add(slab.reports_emitted);
     slab.add(slab.ok);
     counted_ok = true;
     finish();

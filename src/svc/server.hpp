@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/report.hpp"
 #include "svc/api.hpp"
 #include "svc/queue.hpp"
 #include "svc/server_stats.hpp"
@@ -127,10 +126,6 @@ class Server {
   std::condition_variable stop_cv_;
   bool stop_requested_ = false;
   std::mutex teardown_mutex_;
-
-  /// Thread-safe counting sink: every request's RunReport lands here.
-  class CountingSink;
-  std::unique_ptr<CountingSink> report_sink_;
 };
 
 }  // namespace optdm::svc

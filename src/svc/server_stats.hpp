@@ -18,7 +18,9 @@ struct ServerStats {
   std::int64_t ok = 0;          ///< responses that carried a result
   std::int64_t failed = 0;      ///< error responses (any code)
   std::int64_t rejected_queue_full = 0;  ///< subset of failed: queue-full
-  std::int64_t reports_emitted = 0;      ///< RunReports seen by the sink
+  /// Compile + simulate runs that completed in the engine (the wire name
+  /// predates report-on-demand: each used to emit a RunReport).
+  std::int64_t reports_emitted = 0;
 };
 
 }  // namespace optdm::svc

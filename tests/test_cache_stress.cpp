@@ -6,17 +6,22 @@
 // is exact, not statistical: each of the K keys is computed exactly once
 // (its leader counts the one miss), and every other arrival is a memory
 // hit — so misses == K and memory_hits == T*K - K no matter how the
-// threads interleave.  CI runs this binary under ThreadSanitizer (the
-// tsan job) and the full suite runs it under ASan+UBSan.
+// threads interleave.  Entries are shared (`CachedPtr`), so the stress
+// also pins that an entry a reader holds stays intact while other threads
+// evict and refresh its key.  CI runs this binary under ThreadSanitizer
+// (the tsan job) and the full suite runs it under ASan+UBSan.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "apps/sched_cache.hpp"
+#include "io/pattern_io.hpp"
 #include "sched/combined.hpp"
 #include "sched/scheduler.hpp"
 #include "topo/torus.hpp"
@@ -80,7 +85,7 @@ TEST(CacheStress, SingleFlightAccountingIsExactUnderContention) {
             },
             nullptr, &computed);
         if (!computed) hits.fetch_add(1, std::memory_order_relaxed);
-        EXPECT_GT(cached.schedule.degree(), 0);
+        EXPECT_GT(cached->schedule.degree(), 0);
       }
     });
   }
@@ -162,6 +167,59 @@ TEST(CacheStress, SingleShardSatisfiesTheSameContract) {
   EXPECT_EQ(stats.misses, kKeys);
   EXPECT_EQ(stats.memory_hits, kThreads * kKeys - kKeys);
   ASSERT_EQ(cache.shard_count(), 1u);
+}
+
+TEST(CacheStress, HeldEntriesSurviveEvictionUnderContention) {
+  // A 2-entry single-stripe cache under T threads: each thread takes an
+  // entry, then stores two other keys — enough to evict what it holds
+  // (and to refresh keys other threads hold).  The held entry must stay
+  // byte-identical until the reader drops it.
+  apps::ScheduleCache::Options options;
+  options.capacity = 2;
+  options.shards = 1;
+  options.keep_text = true;
+  apps::ScheduleCache cache(torus(), options);
+
+  // Indexed by key number; `at` keeps the int -> size_t conversions
+  // explicit in one place.
+  std::vector<apps::CachedCompilation> values;
+  std::vector<std::string> texts;
+  for (int k = 0; k < kKeys; ++k) {
+    apps::CachedCompilation value;
+    value.schedule = sched::combined(torus(), shift_pattern(k));
+    std::ostringstream text;
+    io::write_schedule(text, torus(), value.schedule);
+    values.push_back(std::move(value));
+    texts.push_back(text.str());
+  }
+  const auto at = [](const auto& items, int k) -> const auto& {
+    return items[static_cast<std::size_t>(k)];
+  };
+
+  constexpr int kRounds = 48;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        const int k = (t * 5 + i) % kKeys;
+        const auto held =
+            cache.get_or_compute(key_for(k), [&] { return at(values, k); });
+        for (int other = 1; other <= 2; ++other) {
+          const int churn = (k + other) % kKeys;
+          cache.store(key_for(churn), at(values, churn));
+        }
+        EXPECT_EQ(held->schedule_text, at(texts, k));
+        EXPECT_EQ(held->schedule.degree(), at(values, k).schedule.degree());
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  const auto stats = cache.stats();
+  EXPECT_GT(stats.evictions, 0);
+  EXPECT_EQ(stats.misses + stats.memory_hits,
+            static_cast<std::int64_t>(kThreads) * kRounds);
 }
 
 }  // namespace

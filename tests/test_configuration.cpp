@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "core/configuration.hpp"
 #include "core/linkset.hpp"
 #include "core/schedule.hpp"
@@ -13,6 +15,20 @@ using core::Configuration;
 using core::LinkSet;
 using core::make_path;
 using core::Schedule;
+
+/// Reference oracle for `validate_disjoint`: the exhaustive pair scan the
+/// linear check replaced, with its message format.
+std::optional<std::string> pair_scan(const std::vector<core::Path>& paths) {
+  for (std::size_t i = 0; i < paths.size(); ++i)
+    for (std::size_t j = i + 1; j < paths.size(); ++j)
+      if (paths[i].occupancy.intersects(paths[j].occupancy))
+        return "configuration conflict between (" +
+               std::to_string(paths[i].request.src) + "->" +
+               std::to_string(paths[i].request.dst) + ") and (" +
+               std::to_string(paths[j].request.src) + "->" +
+               std::to_string(paths[j].request.dst) + ")";
+  return std::nullopt;
+}
 
 TEST(LinkSetTest, InsertContainsErase) {
   LinkSet set(100);
@@ -184,6 +200,55 @@ TEST(ScheduleTest, ValidateAgainstHandlesMultisets) {
   // Two scheduled instances require two pattern instances.
   EXPECT_NE(schedule.validate_against({{0, 2}}), std::nullopt);
   EXPECT_EQ(schedule.validate_against({{0, 2}, {0, 2}}), std::nullopt);
+}
+
+TEST(ConfigurationTest, LinearValidateMatchesThePairScan) {
+  // Seeded path sets on the 8x8 torus: random multisets (mostly
+  // conflicting, at every position) and greedily packed configurations
+  // (never conflicting).  The linear check must agree with the pair scan
+  // on the verdict and, for conflicts, name the same first pair.
+  topo::TorusNetwork net(8, 8);
+  std::mt19937 rng(12);
+  std::uniform_int_distribution<int> node(0, net.node_count() - 1);
+  const auto random_path = [&] {
+    for (;;) {
+      const int src = node(rng);
+      const int dst = node(rng);
+      if (src != dst) return make_path(net, {src, dst});
+    }
+  };
+  int conflicting = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<core::Path> paths;
+    const int size = 1 + trial % 24;
+    for (int i = 0; i < size; ++i) paths.push_back(random_path());
+    const auto expected = pair_scan(paths);
+    conflicting += expected.has_value();
+    EXPECT_EQ(core::validate_disjoint(paths), expected) << "trial " << trial;
+
+    Configuration packed(net.link_count());
+    for (auto& path : paths) packed.add(path);
+    EXPECT_EQ(packed.validate(), std::nullopt) << "trial " << trial;
+    EXPECT_EQ(pair_scan(packed.paths()), std::nullopt) << "trial " << trial;
+  }
+  // Both verdicts are exercised.
+  EXPECT_GT(conflicting, 100);
+  EXPECT_LT(conflicting, 400);
+  EXPECT_EQ(core::validate_disjoint(std::vector<core::Path>{}), std::nullopt);
+}
+
+TEST(ConfigurationTest, LinearValidateNamesTheFirstPairNotTheFirstCollision) {
+  // The running union first trips at index 2, on the pair (1, 2), but
+  // the first conflicting pair in (i, j) order is (0, 3).  The message
+  // must name (0, 3), as the pair scan always did.
+  topo::LinearNetwork net(5);
+  const std::vector<core::Path> paths = {
+      make_path(net, {0, 1}), make_path(net, {2, 3}), make_path(net, {2, 4}),
+      make_path(net, {0, 2})};
+  ASSERT_EQ(pair_scan(paths),
+            std::optional<std::string>(
+                "configuration conflict between (0->1) and (0->2)"));
+  EXPECT_EQ(core::validate_disjoint(paths), pair_scan(paths));
 }
 
 }  // namespace

@@ -8,7 +8,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <algorithm>
 #include <iomanip>
+#include <numeric>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 
@@ -55,12 +58,12 @@ TEST(ScheduleCache, WarmMemoryHitIsByteIdentical) {
   const auto key =
       apps::make_cache_key(net, pattern, "combined", sched::SchedOptions{});
 
-  EXPECT_FALSE(cache.lookup(key).has_value());
+  EXPECT_EQ(cache.lookup(key), nullptr);
   const auto value = compile_ring(net);
   cache.store(key, value);
 
   const auto hit = cache.lookup(key);
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(text_of(net, hit->schedule), text_of(net, value.schedule));
   EXPECT_EQ(hit->lower_bound, value.lower_bound);
   EXPECT_EQ(hit->winner, value.winner);
@@ -116,7 +119,7 @@ TEST(ScheduleCache, KeyForAnotherTopologyIsAlwaysAMiss) {
   const auto key =
       apps::make_cache_key(other, pattern, "combined", sched::SchedOptions{});
   cache.store(key, compile_ring(net));  // silently ignored
-  EXPECT_FALSE(cache.lookup(key).has_value());
+  EXPECT_EQ(cache.lookup(key), nullptr);
   EXPECT_EQ(cache.stats().insertions, 0);
 }
 
@@ -140,13 +143,13 @@ TEST(ScheduleCache, DiskTierSurvivesProcessBoundaries) {
   options.disk_dir = dir;
   apps::ScheduleCache reader(net, options);
   const auto hit = reader.lookup(key);
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(text_of(net, hit->schedule), text_of(net, value.schedule));
   EXPECT_EQ(hit->winner, value.winner);
   EXPECT_EQ(reader.stats().disk_hits, 1);
 
   // The disk hit was promoted: the next lookup is a memory hit.
-  EXPECT_TRUE(reader.lookup(key).has_value());
+  EXPECT_NE(reader.lookup(key), nullptr);
   EXPECT_EQ(reader.stats().memory_hits, 1);
   std::filesystem::remove_all(dir);
 }
@@ -168,7 +171,7 @@ TEST(ScheduleCache, CorruptDiskEntryIsNonFatalAndRewritten) {
   apps::ScheduleCache::Options options;
   options.disk_dir = dir;
   apps::ScheduleCache cache(net, options);
-  EXPECT_FALSE(cache.lookup(key).has_value());
+  EXPECT_EQ(cache.lookup(key), nullptr);
   EXPECT_EQ(cache.stats().disk_rejects, 1);
   // The wreck was moved aside, not left to be re-read as corrupt forever.
   EXPECT_EQ(cache.stats().disk_quarantined, 1);
@@ -180,7 +183,7 @@ TEST(ScheduleCache, CorruptDiskEntryIsNonFatalAndRewritten) {
   cache.store(key, value);
   apps::ScheduleCache reader(net, options);
   const auto hit = reader.lookup(key);
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(text_of(net, hit->schedule), text_of(net, value.schedule));
   std::filesystem::remove_all(dir);
 }
@@ -215,7 +218,7 @@ TEST(ScheduleCache, StaleEntryWithMismatchedKeyIsRejected) {
   apps::ScheduleCache::Options options;
   options.disk_dir = dir;
   apps::ScheduleCache cache(net, options);
-  EXPECT_FALSE(cache.lookup(key).has_value());
+  EXPECT_EQ(cache.lookup(key), nullptr);
   EXPECT_EQ(cache.stats().disk_rejects, 1);
   EXPECT_EQ(cache.stats().disk_quarantined, 1);
   std::filesystem::remove_all(dir);
@@ -244,17 +247,17 @@ TEST(ScheduleCache, TruncatedEntryIsQuarantinedThenRecompiled) {
   std::filesystem::resize_file(path, size / 2);
 
   apps::ScheduleCache cache(net, options);
-  EXPECT_FALSE(cache.lookup(key).has_value());
+  EXPECT_EQ(cache.lookup(key), nullptr);
   EXPECT_EQ(cache.stats().disk_rejects, 1);
   EXPECT_EQ(cache.stats().disk_quarantined, 1);
   EXPECT_TRUE(std::filesystem::exists(path + ".quarantined"));
 
   cache.store(key, value);
   const auto hit = cache.lookup(key);  // memory tier
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_NE(hit, nullptr);
   apps::ScheduleCache reader(net, options);  // disk tier
   const auto disk_hit = reader.lookup(key);
-  ASSERT_TRUE(disk_hit.has_value());
+  ASSERT_NE(disk_hit, nullptr);
   EXPECT_EQ(text_of(net, disk_hit->schedule), text_of(net, value.schedule));
   std::filesystem::remove_all(dir);
 }
@@ -274,7 +277,7 @@ TEST(ScheduleCache, RepeatedCorruptionKeepsTheLatestWreck) {
   apps::ScheduleCache cache(net, options);
   for (const char* wreck : {"first wreck", "second wreck"}) {
     std::ofstream(entry_file(dir, key)) << wreck;
-    EXPECT_FALSE(cache.lookup(key).has_value());
+    EXPECT_EQ(cache.lookup(key), nullptr);
   }
   EXPECT_EQ(cache.stats().disk_quarantined, 2);
   std::ifstream in(entry_file(dir, key) + ".quarantined");
@@ -336,7 +339,7 @@ TEST(ScheduleCache, ScrubRepairsQuarantinesAndSweepsTemps) {
   // The repaired entry is back at its content address and readable.
   EXPECT_FALSE(std::filesystem::exists(stray));
   EXPECT_TRUE(std::filesystem::exists(entry_file(dir, other_key)));
-  EXPECT_TRUE(cache.lookup(other_key).has_value());
+  EXPECT_NE(cache.lookup(other_key), nullptr);
   // The wreck moved aside; the temp is gone.
   EXPECT_FALSE(std::filesystem::exists(wreck));
   EXPECT_TRUE(std::filesystem::exists(wreck + ".quarantined"));
@@ -371,12 +374,12 @@ TEST(ScheduleCache, CommitTempsArePidUniqueAndInvisibleToReaders) {
   apps::ScheduleCache::Options options;
   options.disk_dir = dir;
   apps::ScheduleCache cache(net, options);
-  EXPECT_FALSE(cache.lookup(key).has_value());  // temp is not an entry
+  EXPECT_EQ(cache.lookup(key), nullptr);  // temp is not an entry
   cache.store(key, value);
 
   apps::ScheduleCache reader(net, options);
   const auto hit = reader.lookup(key);
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(text_of(net, hit->schedule), text_of(net, value.schedule));
   EXPECT_EQ(reader.stats().disk_rejects, 0);
   std::filesystem::remove_all(dir);
@@ -396,12 +399,12 @@ TEST(ScheduleCache, LruEvictsTheColdestEntry) {
   };
   cache.store(key_of(1), value);
   cache.store(key_of(2), value);
-  EXPECT_TRUE(cache.lookup(key_of(1)).has_value());  // 1 now most recent
+  EXPECT_NE(cache.lookup(key_of(1)), nullptr);  // 1 now most recent
   cache.store(key_of(3), value);                     // evicts 2
 
-  EXPECT_TRUE(cache.lookup(key_of(1)).has_value());
-  EXPECT_FALSE(cache.lookup(key_of(2)).has_value());
-  EXPECT_TRUE(cache.lookup(key_of(3)).has_value());
+  EXPECT_NE(cache.lookup(key_of(1)), nullptr);
+  EXPECT_EQ(cache.lookup(key_of(2)), nullptr);
+  EXPECT_NE(cache.lookup(key_of(3)), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1);
 }
 
@@ -434,7 +437,7 @@ TEST(ScheduleCache, UnknownWinnerStringIsRejectedAndQuarantined) {
   apps::ScheduleCache::Options options;
   options.disk_dir = dir;
   apps::ScheduleCache cache(net, options);
-  EXPECT_FALSE(cache.lookup(key).has_value());
+  EXPECT_EQ(cache.lookup(key), nullptr);
   EXPECT_EQ(cache.stats().disk_rejects, 1);
   EXPECT_EQ(cache.stats().disk_quarantined, 1);
   EXPECT_TRUE(std::filesystem::exists(path + ".quarantined"));
@@ -479,8 +482,8 @@ TEST(ScheduleCache, StripedCacheMatchesSingleLockBehavior) {
   for (std::int64_t frame = 1; frame <= 8; ++frame) {
     const auto a = single.lookup(key_of(frame));
     const auto b = striped.lookup(key_of(frame));
-    ASSERT_TRUE(a.has_value());
-    ASSERT_TRUE(b.has_value());
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
     EXPECT_EQ(text_of(net, a->schedule), text_of(net, b->schedule));
   }
   EXPECT_EQ(single.stats().memory_hits, striped.stats().memory_hits);
@@ -510,7 +513,7 @@ TEST(ScheduleCache, EvictionBudgetIsPerShard) {
 
   // Find two keys that address the same shard and one that does not.
   const auto shard_of = [&](std::int64_t frame) {
-    return key_of(frame).hash() & 3u;
+    return cache.shard_for(key_of(frame));
   };
   std::int64_t first = 1;
   std::int64_t collider = 0;
@@ -527,9 +530,9 @@ TEST(ScheduleCache, EvictionBudgetIsPerShard) {
   cache.store(key_of(elsewhere), value);
   cache.store(key_of(collider), value);  // same shard as `first`: evicts it
 
-  EXPECT_FALSE(cache.lookup(key_of(first)).has_value());
-  EXPECT_TRUE(cache.lookup(key_of(collider)).has_value());
-  EXPECT_TRUE(cache.lookup(key_of(elsewhere)).has_value());
+  EXPECT_EQ(cache.lookup(key_of(first)), nullptr);
+  EXPECT_NE(cache.lookup(key_of(collider)), nullptr);
+  EXPECT_NE(cache.lookup(key_of(elsewhere)), nullptr);
   EXPECT_EQ(cache.stats().evictions, 1);
 }
 
@@ -545,14 +548,14 @@ TEST(ScheduleCache, KeepTextMemoizesByteIdenticalSerialization) {
   apps::ScheduleCache keeping(net, options);
   keeping.store(key, value);
   const auto hit = keeping.lookup(key);
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->schedule_text, text_of(net, value.schedule));
 
   // Without keep_text the entry carries no memoized bytes.
   apps::ScheduleCache plain(net);
   plain.store(key, value);
   const auto plain_hit = plain.lookup(key);
-  ASSERT_TRUE(plain_hit.has_value());
+  ASSERT_NE(plain_hit, nullptr);
   EXPECT_TRUE(plain_hit->schedule_text.empty());
 }
 
@@ -568,7 +571,7 @@ TEST(ScheduleCache, GetOrComputeServesHitsAndReportsProvenance) {
       key, [&] { return compile_ring(net); }, &from_disk, &computed);
   EXPECT_TRUE(computed);
   EXPECT_FALSE(from_disk);
-  EXPECT_GT(first.schedule.degree(), 0);
+  EXPECT_GT(first->schedule.degree(), 0);
 
   computed = true;
   const auto second = cache.get_or_compute(
@@ -580,7 +583,7 @@ TEST(ScheduleCache, GetOrComputeServesHitsAndReportsProvenance) {
       &from_disk, &computed);
   EXPECT_FALSE(computed);
   EXPECT_FALSE(from_disk);
-  EXPECT_EQ(text_of(net, second.schedule), text_of(net, first.schedule));
+  EXPECT_EQ(text_of(net, second->schedule), text_of(net, first->schedule));
   EXPECT_EQ(cache.stats().misses, 1);
   EXPECT_EQ(cache.stats().memory_hits, 1);
 }
@@ -602,8 +605,8 @@ TEST(ScheduleCache, GetOrComputeLeaderFailureDoesNotPoisonTheKey) {
   const auto value = cache.get_or_compute(
       key, [&] { return compile_ring(net); }, nullptr, &computed);
   EXPECT_TRUE(computed);
-  EXPECT_GT(value.schedule.degree(), 0);
-  EXPECT_TRUE(cache.lookup(key).has_value());
+  EXPECT_GT(value->schedule.degree(), 0);
+  EXPECT_NE(cache.lookup(key), nullptr);
 }
 
 TEST(ScheduleCache, HashIsStableAcrossProcessesByConstruction) {
@@ -617,6 +620,133 @@ TEST(ScheduleCache, HashIsStableAcrossProcessesByConstruction) {
   EXPECT_NE(canonical.find("torus(4x4)"), std::string::npos);
   EXPECT_NE(canonical.find("combined"), std::string::npos);
   EXPECT_NE(canonical.find("0>1"), std::string::npos);
+}
+
+TEST(ScheduleCache, TwoHitsShareOneEntry) {
+  // A hit is a reference to the stored entry, not a copy of it.
+  topo::TorusNetwork net(4, 4);
+  apps::ScheduleCache cache(net);
+  const auto key = apps::make_cache_key(net, patterns::ring(net.node_count()),
+                                        "combined", sched::SchedOptions{});
+  cache.store(key, compile_ring(net));
+  const auto first = cache.lookup(key);
+  const auto second = cache.lookup(key);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first.get(), second.get());
+  const auto third = cache.get_or_compute(key, [&]() -> apps::CachedCompilation {
+    ADD_FAILURE() << "compute ran on a warm key";
+    return {};
+  });
+  EXPECT_EQ(third.get(), first.get());
+}
+
+TEST(ScheduleCache, EntryHeldByAReaderSurvivesEviction) {
+  topo::TorusNetwork net(4, 4);
+  apps::ScheduleCache::Options options;
+  options.capacity = 1;
+  options.keep_text = true;
+  apps::ScheduleCache cache(net, options);
+  const auto key_of = [&](std::int64_t frame) {
+    return apps::make_cache_key(net, patterns::ring(net.node_count()),
+                                "combined", sched::SchedOptions{}, frame);
+  };
+  const auto value = compile_ring(net);
+  cache.store(key_of(1), value);
+  const auto held = cache.lookup(key_of(1));
+  ASSERT_NE(held, nullptr);
+
+  cache.store(key_of(2), value);  // capacity 1: evicts frame 1
+  EXPECT_EQ(cache.stats().evictions, 1);
+  EXPECT_EQ(cache.lookup(key_of(1)), nullptr);
+  EXPECT_EQ(held->schedule_text, text_of(net, value.schedule));
+  EXPECT_EQ(held->lower_bound, value.lower_bound);
+  EXPECT_EQ(held->winner, value.winner);
+}
+
+TEST(ScheduleCache, CanonicalKeyTextIsPinned) {
+  // The canonical text names on-disk entries (through its FNV-1a hash) and
+  // is stored inside each one; any byte drift strands every existing
+  // cache directory.
+  topo::TorusNetwork net(4, 4);
+  const auto key = apps::make_cache_key(net, {{0, 1}, {15, 3}}, "combined",
+                                        sched::SchedOptions{}, -7);
+  EXPECT_EQ(key.canonical(),
+            "optdm-cache-key/1\n"
+            "topology torus(4x4)|v16|l96\n"
+            "scheduler combined\n"
+            "options sched-options/1;priority=0;ils=200,2,277;exact=64,20000000\n"
+            "frame -7\n"
+            "pattern 2\n"
+            "0>1\n"
+            "15>3\n");
+  EXPECT_EQ(key.hash(), 0x9573dcf1d9e7d373ULL);
+}
+
+/// Random derangement of `nodes` nodes: a permutation pattern with no
+/// fixed point, the shape of the paper's frequent patterns.
+core::RequestSet random_derangement(int nodes, std::mt19937& rng) {
+  std::vector<int> dst(static_cast<std::size_t>(nodes));
+  for (;;) {
+    std::iota(dst.begin(), dst.end(), 0);
+    std::shuffle(dst.begin(), dst.end(), rng);
+    bool fixed = false;
+    for (int i = 0; i < nodes; ++i) fixed |= dst[static_cast<std::size_t>(i)] == i;
+    if (!fixed) break;
+  }
+  core::RequestSet pattern;
+  for (int i = 0; i < nodes; ++i)
+    pattern.push_back({i, dst[static_cast<std::size_t>(i)]});
+  return pattern;
+}
+
+/// `count` random (src, dst) pairs, src != dst.
+core::RequestSet random_pairs(int nodes, int count, std::mt19937& rng) {
+  std::uniform_int_distribution<int> node(0, nodes - 1);
+  core::RequestSet pattern;
+  while (static_cast<int>(pattern.size()) < count) {
+    const int src = node(rng);
+    const int dst = node(rng);
+    if (src != dst) pattern.push_back({src, dst});
+  }
+  return pattern;
+}
+
+TEST(ScheduleCache, StripePlacementIsBalancedOnPermutationAndRandomKeys) {
+  // Raw FNV-1a bit 0 is the XOR of the low bits of every key byte, so it
+  // is the same for every permutation key (equal digit multisets) and
+  // `hash & (n - 1)` left half the stripes empty.  Placement now mixes
+  // the hash first: no stripe may fall below half its fair share.
+  topo::TorusNetwork net(8, 8);
+  constexpr int kKeysPerKind = 4096;
+  std::mt19937 rng(2024);
+  std::vector<apps::CacheKey> derangements;
+  std::vector<apps::CacheKey> pairs;
+  for (int i = 0; i < kKeysPerKind; ++i) {
+    derangements.push_back(apps::make_cache_key(
+        net, random_derangement(net.node_count(), rng), "combined",
+        sched::SchedOptions{}));
+    pairs.push_back(apps::make_cache_key(
+        net, random_pairs(net.node_count(), 1 + i % 96, rng), "combined",
+        sched::SchedOptions{}));
+  }
+  const auto raw_bit0 = derangements.front().hash() & 1u;
+  for (const auto& key : derangements) ASSERT_EQ(key.hash() & 1u, raw_bit0);
+
+  for (std::size_t stripes = 2; stripes <= 64; stripes *= 2) {
+    apps::ScheduleCache::Options options;
+    options.shards = stripes;
+    const apps::ScheduleCache cache(net, options);
+    for (const auto* keys : {&derangements, &pairs}) {
+      std::vector<int> load(stripes, 0);
+      for (const auto& key : *keys) ++load[cache.shard_for(key)];
+      const int fair = kKeysPerKind / static_cast<int>(stripes);
+      const int least = *std::min_element(load.begin(), load.end());
+      EXPECT_GE(least, fair / 2)
+          << stripes << " stripes, "
+          << (keys == &derangements ? "derangement" : "random-pair")
+          << " keys: least-loaded stripe got " << least << " of fair " << fair;
+    }
+  }
 }
 
 }  // namespace

@@ -186,6 +186,84 @@ TEST(SvcEngine, ParameterGarbageIsInvalidConfig) {
             FailureCode::kInvalidConfig);
 }
 
+// want_report JSON of a warm compile and of a simulate of the same
+// 4-request pattern on torus:4x4, recorded from the engine that built a
+// RunReport for every request.  Building reports only on demand must not
+// move a byte.
+constexpr const char* kWarmCompileReport =
+    R"({"schema":"optdm-run-report/1","engine":"scheduler","degree":1,"total_slots":1,)"
+    R"("messages":{"total":0,"delivered":0,"lost":0,"misrouted":0,"failed":0},)"
+    R"("payload_link_slots":12,"protocol":{"total_retries":0,"timeouts":0,"ctrl_dropped":0,)"
+    R"("payloads_lost":0},"links":[{"link":0,"busy_slots":1},{"link":2,"busy_slots":1},)"
+    R"({"link":3,"busy_slots":1},{"link":4,"busy_slots":1},{"link":5,"busy_slots":1},)"
+    R"({"link":7,"busy_slots":1},{"link":10,"busy_slots":1},{"link":19,"busy_slots":1},)"
+    R"({"link":32,"busy_slots":1},{"link":36,"busy_slots":1},{"link":40,"busy_slots":1},)"
+    R"({"link":54,"busy_slots":1}],"slots":[{"slot":0,"connections":4,"links_used":12,)"
+    R"("busy_slots":12,"utilization":0.125}],"stalls":[],)"
+    R"("sched":{"cache_memory_hits":1,"cache_disk_hits":0,"cache_misses":0}})"
+    "\n";
+constexpr const char* kSimulateReport =
+    R"({"schema":"optdm-run-report/1","engine":"compiled","degree":1,"total_slots":7,)"
+    R"("messages":{"total":4,"delivered":4,"lost":0,"misrouted":0,"failed":0},)"
+    R"("payload_link_slots":48,"protocol":{"total_retries":0,"timeouts":0,"ctrl_dropped":0,)"
+    R"("payloads_lost":0},"links":[{"link":0,"busy_slots":4},{"link":2,"busy_slots":4},)"
+    R"({"link":3,"busy_slots":4},{"link":4,"busy_slots":4},{"link":5,"busy_slots":4},)"
+    R"({"link":7,"busy_slots":4},{"link":10,"busy_slots":4},{"link":19,"busy_slots":4},)"
+    R"({"link":32,"busy_slots":4},{"link":36,"busy_slots":4},{"link":40,"busy_slots":4},)"
+    R"({"link":54,"busy_slots":4}],"slots":[{"slot":0,"connections":4,"links_used":12,)"
+    R"("busy_slots":48,"utilization":0.125}],"stalls":[],)"
+    R"("sched":{"cache_memory_hits":1,"cache_disk_hits":0,"cache_misses":0}})"
+    "\n";
+
+TEST(SvcEngine, WantReportJsonIsByteIdenticalToTheRecordedReports) {
+  svc::Engine engine;
+  svc::CompileRequest compile;
+  compile.topology = "torus:4x4";
+  compile.pattern = {{0, 1}, {1, 2}, {2, 3}, {5, 9}};
+  compile.want_report = true;
+  (void)engine.compile(compile);  // cold: its report carries timings
+  const auto warm = engine.compile(compile);
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(warm.report_json, kWarmCompileReport);
+
+  // The same schedule through a second scheduler's cache reports the same
+  // document (the report describes the schedule and the cache traffic).
+  compile.scheduler = "greedy";
+  (void)engine.compile(compile);
+  EXPECT_EQ(engine.compile(compile).report_json, kWarmCompileReport);
+
+  svc::SimulateRequest simulate;
+  simulate.topology = "torus:4x4";
+  simulate.pattern = compile.pattern;
+  simulate.want_report = true;
+  simulate.dynamic_ks = {2};
+  EXPECT_EQ(engine.simulate(simulate).report_json, kSimulateReport);
+
+  // Without want_report no report is built or returned.
+  compile.want_report = false;
+  simulate.want_report = false;
+  EXPECT_TRUE(engine.compile(compile).report_json.empty());
+  EXPECT_TRUE(engine.simulate(simulate).report_json.empty());
+}
+
+TEST(SvcEngine, WarmCompileReadsTheSharedCacheEntry) {
+  // The warm response carries the memoized entry's bytes, identical to
+  // the cold response, and the cache holds one entry for the key.
+  svc::Engine engine;
+  svc::CompileRequest request;
+  request.pattern = patterns::transpose(64);
+  const auto cold = engine.compile(request);
+  for (int i = 0; i < 3; ++i) {
+    const auto warm = engine.compile(request);
+    EXPECT_TRUE(warm.cache_hit);
+    EXPECT_EQ(warm.schedule_text, cold.schedule_text);
+    EXPECT_EQ(warm.winner, cold.winner);
+    EXPECT_EQ(warm.lower_bound, cold.lower_bound);
+  }
+  EXPECT_EQ(engine.cache_stats().insertions, 1);
+  EXPECT_EQ(engine.cache_stats().memory_hits, 3);
+}
+
 // ------------------------------------------------------- sharded counters
 
 TEST(StatSlabs, BucketEdgesBracketTheirValues) {
@@ -398,6 +476,39 @@ TEST(SvcServer, SimulateMatchesTheLocalEngine) {
     EXPECT_EQ(remote.dynamic[i].total_retries,
               direct.dynamic[i].total_retries);
   }
+}
+
+TEST(SvcServer, ReportsEmittedCountsSuccessfulCompilesAndSimulates) {
+  // `reports-emitted` on the stats wire keeps its meaning now that no
+  // per-request report is built: one per compile or simulate that
+  // completed, none for rejects.
+  DaemonRig rig;
+  auto client = rig.client();
+  svc::CompileRequest compile;
+  compile.topology = "torus:4x4";
+  compile.pattern = patterns::ring(16);
+  for (int i = 0; i < 3; ++i) (void)client.compile(compile);
+  compile.want_report = true;
+  (void)client.compile(compile);
+
+  svc::SimulateRequest simulate;
+  simulate.topology = "torus:4x4";
+  simulate.pattern = patterns::ring(16);
+  simulate.dynamic_ks = {1};
+  (void)client.simulate(simulate);
+
+  auto bad = compile;
+  bad.scheduler = "no-such-algorithm";
+  EXPECT_EQ(code_of([&] { client.compile(bad); }),
+            FailureCode::kInvalidConfig);
+
+  const auto stats = client.stats();
+  EXPECT_EQ(stats.compiles, 5);
+  EXPECT_EQ(stats.simulates, 1);
+  EXPECT_EQ(stats.ok, 5);
+  EXPECT_EQ(stats.failed, 1);
+  EXPECT_EQ(stats.reports_emitted, stats.ok);
+  EXPECT_EQ(stats.reports_emitted, 5);
 }
 
 TEST(SvcServer, RemoteRejectsRethrowWithTheOriginalCode) {

@@ -14,11 +14,13 @@
 // `optdm_served` daemon when `--connect=host:port` is given.  The printed
 // output is identical either way.
 
+#include <algorithm>
 #include <fstream>
 #include <initializer_list>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "io/pattern_io.hpp"
@@ -54,7 +56,7 @@ inline FlagTable pattern_flags() {
   return {
       {"pattern", "NAME",
        "ring|nearest-neighbor|hypercube|tscf|shuffle-exchange|all-to-all|\n"
-       "                    linear|gs|transpose|bit-reversal"},
+       "linear|gs|transpose|bit-reversal"},
       {"pattern-file", "F", "`src dst` pattern file (overrides --pattern)"},
   };
 }
@@ -83,16 +85,16 @@ inline FlagTable shard_flags() {
   return {
       {"shards", "N",
        "fan the dynamic-reservation rows over N forked worker\n"
-       "                    processes; the output is byte-identical at any N"},
+       "processes; the output is byte-identical at any N"},
       {"shard-retries", "N",
        "re-forks the supervisor grants each shard before the\n"
-       "                    exhaustion policy applies (default 2)"},
+       "exhaustion policy applies (default 2)"},
       {"shard-deadline-ms", "N",
        "SIGKILL + re-fork a shard that makes no progress for\n"
-       "                    N ms (default 0 = no deadline)"},
+       "N ms (default 0 = no deadline)"},
       {"shard-salvage", "",
        "on an exhausted shard, keep going and mark its cells\n"
-       "                    missing instead of failing the run"},
+       "missing instead of failing the run"},
   };
 }
 
@@ -118,16 +120,32 @@ inline void check_flags(const util::CliArgs& args, const FlagTable& table) {
 }
 
 /// Generated `--help` text: intro paragraph, then one line per flag.
+/// Descriptions share one column, two spaces past the longest flag (and
+/// never left of column 20); a `\n` in a description continues it on a
+/// new line indented to that column.
 inline std::string usage(const std::string& tool, const std::string& intro,
                          const FlagTable& table) {
-  std::string out = "usage: " + tool + " [flags]\n\n" + intro + "\n\nflags:\n";
-  for (const auto& flag : table) {
+  const auto head_of = [](const Flag& flag) {
     std::string head = std::string("  --") + flag.name;
     if (flag.value[0] != '\0') head += std::string("=") + flag.value;
-    while (head.size() < 20) head += ' ';
-    out += head + flag.help + "\n";
-  }
-  out += "  --help            this text\n";
+    return head;
+  };
+  std::size_t column = 20;
+  for (const auto& flag : table) column = std::max(column, head_of(flag).size() + 2);
+  const std::string indent(column, ' ');
+
+  std::string out = "usage: " + tool + " [flags]\n\n" + intro + "\n\nflags:\n";
+  const auto line = [&](std::string head, std::string_view help) {
+    head.resize(column, ' ');
+    out += head;
+    for (const char c : help) {
+      out += c;
+      if (c == '\n') out += indent;
+    }
+    out += '\n';
+  };
+  for (const auto& flag : table) line(head_of(flag), flag.help);
+  line("  --help", "this text");
   return out;
 }
 

@@ -98,12 +98,12 @@ int main(int argc, char** argv) {
         {tools::service_flags(),
          {{"connections", "N", "concurrent client connections (default 4)"},
           {"requests", "M", "requests per connection in the warm phase\n"
-                            "                    (default 50)"},
+                            "(default 50)"},
           {"patterns", "K", "distinct patterns in the working set (default 4)"},
           {"topology", "SPEC", "substrate (default torus:8x8)"},
           {"algorithm", "NAME", "scheduler registry name (default combined)"},
           {"mix", "KIND", "compile|mixed — mixed sends every 8th request\n"
-                          "                    as a simulate (default compile)"},
+                          "as a simulate (default compile)"},
           {"no-warmup", "", "skip the cold phase (measure a cold cache)"}}});
     if (args.get_bool("help")) {
       std::cout << tools::usage("optdm_loadgen", kIntro, flags);

@@ -51,14 +51,14 @@ int main(int argc, char** argv) {
            "job-queue worker threads (default: hardware threads, max 8)"},
           {"queue-capacity", "N",
            "admission bound: queued jobs beyond this are rejected\n"
-           "                    with resource/queue-full (default 64)"},
+           "with resource/queue-full (default 64)"},
           {"cache-dir", "DIR", "on-disk tier of the shared schedule cache"},
           {"cache-capacity", "N",
            "in-memory LRU entries per (topology, scheduler) cache\n"
-           "                    (default 256)"},
+           "(default 256)"},
           {"cache-shards", "N",
            "in-memory stripes per schedule cache (power of two;\n"
-           "                    default 8, 1 = single lock)"},
+           "default 8, 1 = single lock)"},
           {"stats-interval", "SECS",
            "print aggregate stats to stderr every SECS seconds"},
           {"ping", "HOST:PORT", "probe a running daemon and exit"},

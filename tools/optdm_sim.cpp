@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
     const auto flags = tools::flag_table(
         {{{"topology", "SPEC",
            "substrate: torus:CxR or torus:N (square); the paper's\n"
-           "                    torus:8x8 is the default, torus:32x32 / "
+           "torus:8x8 is the default, torus:32x32 / "
            "torus:64x64\n"
-           "                    are the mega-scale points"}},
+           "are the mega-scale points"}},
          tools::pattern_flags(),
          {{"slots", "N", "message size in payload slots (default 4)"}},
          tools::shard_flags(),
