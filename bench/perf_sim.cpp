@@ -2,7 +2,7 @@
 // simulators and the sweep engine they feed.  The compiler-side costs live
 // in perf_schedulers.cpp; this file tracks the hot paths the experiment
 // drivers spend their wall-clock in — the dynamic-protocol event loop
-// (calendar queue + SoA arenas), switch-level execution, and a full
+// (slot queue + SoA arenas), switch-level execution, and a full
 // (phase x K) sweep through `apps::SweepRunner`.
 //
 // The committed baseline is bench/BENCH_sim.json; tools/bench_diff.py
@@ -13,8 +13,6 @@
 #include <cstdint>
 #include <map>
 #include <vector>
-
-#include "legacy/dynamic_prepr.hpp"
 
 #include "apps/sweep.hpp"
 #include "apps/workloads.hpp"
@@ -66,7 +64,7 @@ BENCHMARK(BM_DynamicSim)->Arg(100)->Arg(1000)->Arg(4000);
 // 32x32 torus at K=8 (ROADMAP item 3).  Message streams of that size
 // repeat (src, dst) pairs, so they sample with replacement.  The CI
 // advisory bench diff excludes these rows via
-// --benchmark_filter='-BM_DynamicSim(Large|PrePR)' (see
+// --benchmark_filter='-BM_DynamicSimLarge' (see
 // .github/workflows/ci.yml); the 1e6 row runs once in its own advisory
 // smoke step — wall-clock this long is smoke-tested, not gated.
 const std::vector<sim::Message>& large_messages(std::int64_t count) {
@@ -95,29 +93,6 @@ void BM_DynamicSimLarge(benchmark::State& state) {
                           static_cast<std::int64_t>(messages.size()));
 }
 BENCHMARK(BM_DynamicSimLarge)
-    ->Arg(100'000)
-    ->Arg(1'000'000)
-    ->Unit(benchmark::kMillisecond);
-
-// A/B reference: the frozen pre-PR engine (bench/legacy/dynamic_prepr)
-// on byte-identical inputs.  The quotient of this row over
-// BM_DynamicSimLarge is the layout win — per-message `make_path`
-// allocations and AoS message records vs. queue-ordered arenas and
-// packed hot state.
-void BM_DynamicSimPrePR(benchmark::State& state) {
-  static const auto net = topo::TorusNetwork::scale_32x32();
-  const auto& messages = large_messages(state.range(0));
-  sim::DynamicParams params;
-  params.multiplexing_degree = 8;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        legacybench::simulate_dynamic_prepr(net, messages, params)
-            .total_slots);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(messages.size()));
-}
-BENCHMARK(BM_DynamicSimPrePR)
     ->Arg(100'000)
     ->Arg(1'000'000)
     ->Unit(benchmark::kMillisecond);

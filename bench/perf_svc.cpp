@@ -4,8 +4,8 @@
 //  * the striped schedule cache under contention (shards=1 is the
 //    historical single-lock cache, shards=8 the daemon's default; the
 //    quotient is the striping win),
-//  * frame-body encoding of a compile response (what `keep_text`
-//    memoization saves per warm request),
+//  * frame-body encoding of a compile response (what a warm request
+//    still pays once the cache hands out memoized schedule text),
 //  * the single-writev frame send at realistic payload sizes, and
 //  * the whole in-process warm compile through `svc::Engine` (everything a
 //    warm daemon request does except the socket and the queue handoff).
@@ -148,8 +148,8 @@ const svc::CompileResponse& sample_response() {
   return response;
 }
 
-// Body serialization of a compile response — the per-request cost that
-// `keep_text` memoization avoids re-paying on the schedule_text half.
+// Body serialization of a compile response — the per-request cost left
+// once the cache's memoized schedule text spares the write_schedule pass.
 void BM_CompileResponseEncode(benchmark::State& state) {
   const auto& response = sample_response();
   for (auto _ : state) {

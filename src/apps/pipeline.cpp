@@ -84,7 +84,6 @@ PhaseCompilation from_cached(const CachedCompilation& cached) {
   result.phase.schedule = cached.schedule;
   result.phase.lower_bound = cached.lower_bound;
   result.phase.winner = winner_of(cached.winner);
-  result.schedule_text = cached.schedule_text;
   result.cache_hit = true;
   return result;
 }
@@ -268,7 +267,6 @@ Pipeline::Pipeline(const topo::TorusNetwork& net, PipelineOptions options)
     ScheduleCache::Options cache_options;
     cache_options.capacity = options_.cache_capacity;
     cache_options.shards = options_.cache_shards;
-    cache_options.keep_text = options_.cache_keep_text;
     cache_options.disk_dir = options_.cache_dir;
     cache_ = std::make_unique<ScheduleCache>(net, std::move(cache_options));
   }

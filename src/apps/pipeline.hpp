@@ -59,11 +59,6 @@ struct PipelineOptions {
   /// pipeline across worker threads raise this so concurrent requests for
   /// different keys stop serializing on one mutex.
   std::size_t cache_shards = 1;
-  /// Memoize each cached schedule's serialized text at store time
-  /// (`ScheduleCache::Options::keep_text`), surfaced through
-  /// `PhaseCompilation::schedule_text`; costs one serialization per store
-  /// and saves one per warm hit.
-  bool cache_keep_text = false;
   /// On-disk cache directory; empty keeps the cache memory-only.
   std::string cache_dir;
   /// Per-switch-setting reconfiguration latency R (slots) driving the
@@ -86,18 +81,13 @@ struct PhaseCompilation {
   /// concurrent requests share one cache, where aggregate stats deltas
   /// would interleave.
   bool disk_hit = false;
-  /// `io::write_schedule` text of `phase.schedule`, carried through the
-  /// cache when `PipelineOptions::cache_keep_text` is set; empty
-  /// otherwise.  Byte-identical to serializing the schedule afresh.
-  std::string schedule_text;
 };
 
 /// One compiled pattern as the cache holds it: the shared, immutable entry
 /// plus this call's provenance.  The copy-free form of `PhaseCompilation`
 /// (the service engine answers straight from it).
 struct SharedCompilation {
-  /// Never null.  `entry->schedule_text` is filled when
-  /// `PipelineOptions::cache_keep_text` is set and the cache is on.
+  /// Never null.  `entry->schedule_text` is filled when the cache is on.
   CachedPtr entry;
   /// `entry->winner` decoded.
   sched::CombinedWinner winner = sched::CombinedWinner::kColoring;

@@ -277,7 +277,7 @@ void ScheduleCache::store(const CacheKey& key, const CachedCompilation& value) {
 }
 
 void ScheduleCache::memoize_text(CachedCompilation& value) const {
-  if (!options_.keep_text || !value.schedule_text.empty()) return;
+  if (!value.schedule_text.empty()) return;
   std::ostringstream text;
   io::write_schedule(text, *net_, value.schedule);
   value.schedule_text = text.str();
@@ -369,7 +369,7 @@ CachedPtr ScheduleCache::disk_lookup(Shard& shard, const std::string& canonical,
   // The document's schedule text is the `write_schedule` serialization the
   // store committed; revalidation just proved it parses back against this
   // network, so it is exactly the text a hit should serve.
-  if (options_.keep_text) loaded.schedule_text = std::move(entry->schedule_text);
+  loaded.schedule_text = std::move(entry->schedule_text);
   return std::make_shared<const CachedCompilation>(std::move(loaded));
 }
 
@@ -398,15 +398,9 @@ void ScheduleCache::disk_store(const Entry& entry, std::uint64_t hash) {
   serialized.key = entry.canonical;
   serialized.lower_bound = value.lower_bound;
   serialized.winner = value.winner;
-  if (!value.schedule_text.empty()) {
-    // keep_text already serialized this schedule; the document wants the
-    // same bytes.
-    serialized.schedule_text = value.schedule_text;
-  } else {
-    std::ostringstream schedule_text;
-    io::write_schedule(schedule_text, *net_, value.schedule);
-    serialized.schedule_text = schedule_text.str();
-  }
+  // Every stored entry carries its memoized text; the document wants the
+  // same bytes.
+  serialized.schedule_text = value.schedule_text;
 
   std::ostringstream doc;
   io::write_cache_entry(doc, serialized);

@@ -115,9 +115,10 @@ struct CachedCompilation {
   int lower_bound = 0;
   /// Winning branch of the combined scheduler; empty when not applicable.
   std::string winner;
-  /// Memoized `io::write_schedule` text of `schedule`; filled on store
-  /// when `Options::keep_text` is set (the service engine's response fast
-  /// path), empty otherwise.  Byte-identical to serializing `schedule`.
+  /// Memoized `io::write_schedule` text of `schedule`; the cache fills it
+  /// on every store, so a hit serves the serialized form (the service
+  /// engine's response fast path).  Byte-identical to serializing
+  /// `schedule`.
   std::string schedule_text;
 };
 
@@ -169,10 +170,6 @@ class ScheduleCache {
     /// default) reproduces the single-lock cache exactly; the service
     /// engine uses 8.
     std::size_t shards = 1;
-    /// Memoize the schedule's `io::write_schedule` text in each entry at
-    /// store time so hits can serve the serialized form without another
-    /// serialization pass (the service engine's response fast path).
-    bool keep_text = false;
     /// Directory of the on-disk tier; empty disables it.  Created on
     /// first store if missing.
     std::string disk_dir;
@@ -299,7 +296,7 @@ class ScheduleCache {
   /// holds the lock guarding `stats`.
   static void quarantine_locked(const std::string& path, CacheStats& stats);
   void insert_locked(Shard& shard, std::string canonical, CachedPtr value);
-  /// Fills `schedule_text` when `keep_text` is on and it is empty.
+  /// Fills `schedule_text` when it is empty.
   void memoize_text(CachedCompilation& value) const;
   std::string entry_path(std::uint64_t hash) const;
 

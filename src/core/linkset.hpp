@@ -37,9 +37,6 @@ class LinkSet {
   /// polling set sizes in inner loops no longer rescan the words.
   int size() const noexcept { return size_; }
 
-  /// Historical name for `size()`.
-  int count() const noexcept { return size_; }
-
   /// True if `*this` and `other` share at least one link.  Throws
   /// `std::invalid_argument` if the universes differ (paths from different
   /// networks are never comparable).

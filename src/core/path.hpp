@@ -20,7 +20,7 @@ namespace optdm::core {
 ///  * `links` starts with `src`'s injection link and ends with `dst`'s
 ///    ejection link;
 ///  * consecutive links are contiguous (`link[i].to == link[i+1].from`);
-///  * no link repeats (`occupancy.count() == links.size()`).
+///  * no link repeats (`occupancy.size() == links.size()`).
 struct Path {
   Request request;
   /// All directed links, injection/ejection included, in traversal order.

@@ -86,7 +86,7 @@ RunReport report_compiled(const core::Schedule& schedule,
     SlotOccupancy occ;
     occ.slot = slot;
     occ.connections = static_cast<int>(config.size());
-    occ.links_used = config.used_links().count();
+    occ.links_used = config.used_links().size();
     occ.busy_slots = slot_busy[static_cast<std::size_t>(slot)];
     const int universe = config.used_links().universe_size();
     occ.utilization =
@@ -168,7 +168,7 @@ RunReport report_schedule(const core::Schedule& schedule,
     SlotOccupancy occ;
     occ.slot = slot;
     occ.connections = static_cast<int>(config.size());
-    occ.links_used = config.used_links().count();
+    occ.links_used = config.used_links().size();
     // One frame: every lit link is busy for exactly its slot.
     occ.busy_slots = occ.links_used;
     const int universe = config.used_links().universe_size();

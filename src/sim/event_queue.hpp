@@ -8,84 +8,39 @@
 #include <vector>
 
 /// \file event_queue.hpp
-/// Event queues for discrete-event simulation with monotonically
-/// non-decreasing event times: `SlotQueue`, a slot-batched bucket queue
-/// for bare payloads (the dynamic simulator's hot queue), and
-/// `CalendarQueue`, its `(time, seq)`-keyed predecessor kept as the
-/// drop-in heap replacement (and as the frozen pre-PR A/B reference in
-/// `bench/legacy/`).
-///
-/// `CalendarQueue` design notes (shared by both):
-///
-/// The dynamic-protocol simulator used to drain a binary heap: O(log n)
-/// per push/pop with a three-way comparison on (time, seq).  But its event
-/// times are slot numbers on a bounded horizon and the simulation clock
-/// never moves backwards (every event is scheduled at `now + delta`,
-/// `delta >= 0`), which is exactly the shape a calendar queue exploits:
-///
-///  * a **ring of buckets**, one per slot, covering the window
-///    `[cursor, cursor + R)` — push appends to bucket `time & (R-1)`,
-///    pop reads the bucket under the cursor, both O(1);
-///  * a **non-empty bitmap** over the ring so advancing the cursor across
-///    empty slots scans 64 slots per word instead of one per step;
-///  * an **overflow heap** for the rare event scheduled beyond the window
-///    (long payload completions, big backoffs).  The invariant is that
-///    every event with `time < cursor + R` lives in the ring; whenever the
-///    cursor advances, overflow events entering the window migrate into
-///    their buckets.
-///
-/// Bucket storage is engineered for the simulator's bimodal occupancy —
-/// most buckets hold a handful of events, while slot-aligned protocol
-/// steps pile hundreds onto a few buckets.  Each bucket owns `kInline`
-/// slots in one slab allocated at construction; a bucket that outgrows
-/// them borrows a spill vector from a recycled pool and returns it (with
-/// its capacity) when drained.  The pool's high-water mark is the number
-/// of *simultaneously* overfull buckets, so a whole run performs O(pool
-/// size) allocations instead of O(buckets touched).
-///
-/// **Ordering contract.**  Pops are globally ordered by `(time, seq)` —
-/// byte-identical to `std::priority_queue` over the same comparison.  The
-/// argument: within one bucket, direct pushes arrive in increasing `seq`
-/// (the producer's sequence counter is monotone), and an overflow event
-/// for slot `t` migrates at the cursor advance that first makes
-/// `t < cursor + R` — before any later (higher-`seq`) push could target
-/// `t` directly, because such a push requires that same window condition.
-/// Migration itself drains the heap in `(time, seq)` order.  Hence every
-/// bucket holds its events in `seq` order, and cyclic bitmap scanning
-/// from the cursor index visits bucket times in increasing order.
-///
-/// `Event` must be default-constructible and expose `std::int64_t time`,
-/// a unique monotone tie-break field `seq`, and `operator>` comparing
-/// `(time, seq)` — the same requirements the heap had.
-///
-/// Pushing an event with `time` earlier than the last popped time is a
-/// contract violation (asserted in debug builds): the bucket for that slot
-/// may already have been recycled for `time + R`.
+/// `SlotQueue`, the slot-batched bucket queue that drives the dynamic
+/// simulator's discrete-event loop.
 
 namespace optdm::sim {
 
-/// `SlotQueue` — the slot-batched successor to `CalendarQueue` below, for
-/// producers whose payloads carry **no** time or sequence field of their
-/// own.
+/// `SlotQueue` — an event queue for producers whose clock never moves
+/// backwards and whose payloads carry **no** time or sequence field of
+/// their own.
 ///
-/// `CalendarQueue` is a drop-in heap replacement: every event stores its
-/// `(time, seq)` key and pop re-derives global order per event.  But the
-/// dynamic simulator's schedule is far more structured than that contract
-/// assumes: almost every push lands within a few slots of `now` (control
-/// hops, local processing), pushes within one slot already happen in the
-/// exact order pops must replay them, and the clock never moves backwards.
-/// `SlotQueue` exploits all three:
+/// The dynamic-protocol simulator's event times are slot numbers on a
+/// bounded horizon, every event is scheduled at `now + delta` with
+/// `delta >= 0`, almost every push lands within a few slots of `now`
+/// (control hops, local processing), and pushes within one slot already
+/// happen in the exact order pops must replay them.  That is the shape a
+/// calendar queue exploits:
 ///
-///  * each ring bucket is a plain `std::vector<Payload>` drained front to
-///    back — **append order is pop order within a slot**, so payloads
-///    carry no 8-byte `seq` and no 8-byte `time` (a 12-byte protocol
-///    event instead of a 32-byte keyed one);
-///  * the cursor advances once per *slot*, not once per event: the bitmap
-///    scan, the far-future migration check, and the bucket retirement all
-///    amortize over every event sharing the slot;
-///  * the rare far-future event (long payload completions, capped
-///    backoffs) rides a `(time, seq)`-keyed overflow heap exactly like
-///    `CalendarQueue`'s, with the same migration invariant.
+///  * a **ring of buckets**, one per slot, covering the window
+///    `[cursor, cursor + R)` — push appends to bucket `time & (R-1)`;
+///    each bucket is a plain `std::vector<Payload>` drained front to
+///    back, so **append order is pop order within a slot** and payloads
+///    carry no 8-byte `seq` and no 8-byte `time`;
+///  * a **non-empty bitmap** over the ring so advancing the cursor across
+///    empty slots scans 64 slots per word instead of one per step;
+///  * an **overflow heap** (`(time, seq)`-keyed) for the rare event
+///    scheduled beyond the window (long payload completions, capped
+///    backoffs).  The migration invariant is that every payload with
+///    `time < cursor + R` lives in the ring; whenever the cursor
+///    advances, far payloads entering the window migrate into their
+///    buckets.
+///
+/// The cursor advances once per *slot*, not once per event: the bitmap
+/// scan, the migration check and the bucket retirement all amortize over
+/// every event sharing the slot.
 ///
 /// **Ordering contract.**  `poll` returns payloads in exactly the order a
 /// `(time, push-index)` heap would: within a bucket direct pushes append
@@ -94,10 +49,13 @@ namespace optdm::sim {
 /// direct push could target `t` (a direct push requires that same window
 /// condition, and pushes only happen while dispatching — after the poll
 /// that advanced the cursor); and migration drains the overflow heap in
-/// `(time, seq)` order.
+/// `(time, seq)` order.  Hence every bucket holds its payloads in push
+/// order, and cyclic bitmap scanning from the cursor index visits bucket
+/// times in increasing order.
 ///
 /// Pushing a payload with `time` earlier than the cursor (the last polled
-/// slot) is a contract violation, asserted in debug builds.
+/// slot) is a contract violation, asserted in debug builds: the bucket for
+/// that slot may already have been recycled for `time + R`.
 template <typename Payload>
 class SlotQueue {
  public:
@@ -228,161 +186,6 @@ class SlotQueue {
   std::size_t size_ = 0;
   std::int64_t far_seq_ = 0;
   std::priority_queue<Far, std::vector<Far>, std::greater<>> far_;
-};
-
-template <typename Event>
-class CalendarQueue {
- public:
-  /// `window` is the ring size in slots, rounded up to a power of two;
-  /// events farther than that ahead of the cursor ride the overflow heap.
-  explicit CalendarQueue(std::size_t window = 1024) {
-    std::size_t r = 64;
-    while (r < window) r <<= 1;
-    ring_.resize(r);
-    slab_.resize(r * kInline);
-    occupied_.assign(r / 64, 0);
-    mask_ = r - 1;
-  }
-
-  bool empty() const noexcept { return size_ == 0; }
-  std::size_t size() const noexcept { return size_; }
-
-  void push(Event ev) {
-    assert(ev.time >= cursor_ && "event scheduled in the past");
-    if (ev.time < cursor_ + window()) {
-      emplace_in_ring(std::move(ev));
-    } else {
-      overflow_.push(std::move(ev));
-    }
-    ++size_;
-  }
-
-  /// Removes and returns the earliest event by `(time, seq)`.
-  Event pop() {
-    assert(size_ > 0 && "pop from an empty CalendarQueue");
-    if (ring_count_ == 0) {
-      // Everything pending is far future: jump straight to it.
-      cursor_ = overflow_.top().time;
-      migrate_overflow();
-    } else {
-      advance_to_next_occupied();
-    }
-    const std::size_t index = static_cast<std::size_t>(cursor_) & mask_;
-    auto& bucket = ring_[index];
-    Event ev = bucket.head < kInline
-                   ? std::move(slab_[index * kInline + bucket.head])
-                   : std::move(spill_pool_[static_cast<std::size_t>(
-                         bucket.spill)][bucket.head - kInline]);
-    if (++bucket.head == bucket.count) {
-      if (bucket.spill >= 0) {
-        spill_pool_[static_cast<std::size_t>(bucket.spill)].clear();
-        free_spills_.push_back(bucket.spill);  // capacity survives for reuse
-        bucket.spill = -1;
-      }
-      bucket.head = 0;
-      bucket.count = 0;
-      clear_bit(index);
-    }
-    --ring_count_;
-    --size_;
-    return ev;
-  }
-
- private:
-  /// Events `[head, count)` of a bucket live in its `kInline` slab slots
-  /// first, then in spill vector `spill` (an index into `spill_pool_`,
-  /// -1 while unused), always in ascending `(time, seq)` order.
-  struct Bucket {
-    std::uint32_t head = 0;
-    std::uint32_t count = 0;
-    std::int32_t spill = -1;
-  };
-
-  static constexpr std::size_t kInline = 4;
-
-  std::int64_t window() const noexcept {
-    return static_cast<std::int64_t>(mask_ + 1);
-  }
-
-  void emplace_in_ring(Event ev) {
-    const std::size_t index = static_cast<std::size_t>(ev.time) & mask_;
-    auto& bucket = ring_[index];
-    if (bucket.count < kInline) {
-      slab_[index * kInline + bucket.count] = std::move(ev);
-    } else {
-      if (bucket.spill < 0) bucket.spill = acquire_spill();
-      spill_pool_[static_cast<std::size_t>(bucket.spill)].push_back(
-          std::move(ev));
-    }
-    ++bucket.count;
-    occupied_[index >> 6] |= std::uint64_t{1} << (index & 63);
-    ++ring_count_;
-  }
-
-  std::int32_t acquire_spill() {
-    if (free_spills_.empty()) {
-      spill_pool_.emplace_back();
-      return static_cast<std::int32_t>(spill_pool_.size() - 1);
-    }
-    const auto id = free_spills_.back();
-    free_spills_.pop_back();
-    return id;
-  }
-
-  void clear_bit(std::size_t index) noexcept {
-    occupied_[index >> 6] &= ~(std::uint64_t{1} << (index & 63));
-  }
-
-  /// Moves the cursor to the earliest occupied bucket.  All ring events
-  /// lie in `[cursor_, cursor_ + R)`, so one cyclic bitmap scan starting
-  /// at the cursor's index visits candidate times in increasing order.
-  void advance_to_next_occupied() {
-    const std::size_t start = static_cast<std::size_t>(cursor_) & mask_;
-    const std::size_t words = occupied_.size();
-    std::size_t word = start >> 6;
-    // Mask off bits below the start position in the first word.
-    std::uint64_t bits = occupied_[word] & (~std::uint64_t{0} << (start & 63));
-    for (std::size_t scanned = 0;; ++scanned) {
-      if (bits != 0) {
-        const auto index =
-            (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-        // Cyclic distance from the start index = time distance.
-        const std::size_t delta = (index - start) & mask_;
-        if (delta > 0) {
-          cursor_ += static_cast<std::int64_t>(delta);
-          migrate_overflow();
-          // Migration may have filled a bucket between start and here —
-          // impossible: overflow events had time >= old cursor + R, which
-          // is beyond every ring slot, so the found bucket stays earliest.
-        }
-        return;
-      }
-      assert(scanned < words && "occupied bitmap disagrees with ring_count_");
-      word = word + 1 == words ? 0 : word + 1;
-      bits = occupied_[word];
-    }
-  }
-
-  /// Restores the invariant after a cursor advance: every overflow event
-  /// now inside the window moves to its bucket, in `(time, seq)` order.
-  void migrate_overflow() {
-    const std::int64_t end = cursor_ + window();
-    while (!overflow_.empty() && overflow_.top().time < end) {
-      emplace_in_ring(overflow_.top());
-      overflow_.pop();
-    }
-  }
-
-  std::vector<Bucket> ring_;
-  std::vector<Event> slab_;
-  std::vector<std::uint64_t> occupied_;
-  std::vector<std::vector<Event>> spill_pool_;
-  std::vector<std::int32_t> free_spills_;
-  std::size_t mask_ = 0;
-  std::int64_t cursor_ = 0;
-  std::size_t ring_count_ = 0;
-  std::size_t size_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> overflow_;
 };
 
 }  // namespace optdm::sim

@@ -25,6 +25,9 @@ namespace {
 using util::Failure;
 using util::FailureCode;
 
+/// Buckets the pipeline map is sharded over (lock granularity).
+constexpr std::size_t kMapShards = 8;
+
 /// Validates the request fields every kind shares; throws
 /// `fatal/invalid-config` so remote callers get a structured reject.
 void check_pattern(const core::RequestSet& pattern,
@@ -39,9 +42,8 @@ void check_pattern(const core::RequestSet& pattern,
 }  // namespace
 
 Engine::Engine(Options options) : options_(std::move(options)) {
-  if (options_.map_shards == 0) options_.map_shards = 1;
-  shards_.reserve(options_.map_shards);
-  for (std::size_t i = 0; i < options_.map_shards; ++i)
+  shards_.reserve(kMapShards);
+  for (std::size_t i = 0; i < kMapShards; ++i)
     shards_.push_back(std::make_unique<Shard>());
 }
 
@@ -78,10 +80,6 @@ Engine::Entry& Engine::resolve(const std::string& topology,
     pipeline_options.use_cache = use_cache;
     pipeline_options.cache_capacity = options_.cache_capacity;
     pipeline_options.cache_shards = options_.cache_shards;
-    // Responses always carry the serialized schedule, so memoizing the
-    // text in the cache trades one serialization per store for one saved
-    // per warm hit — strictly a win on the service path.
-    pipeline_options.cache_keep_text = true;
     pipeline_options.cache_dir = use_cache ? options_.cache_dir : "";
     entry->pipeline =
         std::make_unique<apps::Pipeline>(*entry->net, pipeline_options);
@@ -134,10 +132,11 @@ CompileResponse Engine::compile(const CompileRequest& request) {
   response.disk_hit = compiled.disk_hit;
   response.cache_enabled = request.use_cache;
   if (!cached.schedule_text.empty()) {
-    // Warm path: the cache memoized this exact serialization at store
-    // time (`cache_keep_text`), byte-identical to serializing afresh.
+    // The cache memoized this exact serialization at store time,
+    // byte-identical to serializing afresh.
     response.schedule_text = cached.schedule_text;
   } else {
+    // Uncached request: nothing memoized the text.
     std::ostringstream out;
     io::write_schedule(out, *entry.net, schedule);
     response.schedule_text = out.str();

@@ -166,8 +166,6 @@ class Engine : public Service {
     /// 8 keeps concurrent warm requests for different keys off each
     /// other's locks; 1 reproduces the single-lock cache.
     std::size_t cache_shards = 8;
-    /// Buckets the pipeline map is sharded over (lock granularity).
-    std::size_t map_shards = 8;
   };
 
   Engine() : Engine(Options{}) {}

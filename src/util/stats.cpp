@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <stdexcept>
+#include <vector>
 
 namespace optdm::util {
 
@@ -36,43 +35,6 @@ double percentile(std::span<const double> sample, double p) {
       std::ceil(clamped / 100.0 * static_cast<double>(sorted.size())));
   const std::size_t index = rank == 0 ? 0 : rank - 1;
   return sorted[std::min(index, sorted.size() - 1)];
-}
-
-Histogram::Histogram(std::vector<double> edges) : edges_(std::move(edges)) {
-  if (edges_.empty()) throw std::invalid_argument("Histogram: no edges");
-  if (!std::is_sorted(edges_.begin(), edges_.end()))
-    throw std::invalid_argument("Histogram: edges must be sorted");
-  counts_.assign(edges_.size(), 0);
-}
-
-void Histogram::add(double x) noexcept {
-  // upper_bound returns the first edge > x; bucket i covers
-  // [edges[i], edges[i+1]), the last [edges.back(), +inf).
-  ++total_;
-  const auto it = std::upper_bound(edges_.begin(), edges_.end(), x);
-  if (it == edges_.begin()) {
-    ++underflow_;
-    return;
-  }
-  const auto bucket =
-      static_cast<std::size_t>(std::distance(edges_.begin(), it)) - 1;
-  ++counts_[bucket];
-}
-
-std::size_t Histogram::count(std::size_t bucket) const {
-  return counts_.at(bucket);
-}
-
-double Histogram::lower_edge(std::size_t bucket) const {
-  return edges_.at(bucket);
-}
-
-double Histogram::upper_edge(std::size_t bucket) const {
-  if (bucket >= counts_.size())
-    throw std::out_of_range("Histogram::upper_edge: bucket out of range");
-  if (bucket + 1 == counts_.size())
-    return std::numeric_limits<double>::infinity();
-  return edges_[bucket + 1];
 }
 
 }  // namespace optdm::util

@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 /// \file stats.hpp
 /// Small streaming/statistics helpers used by the benchmark harness to
@@ -43,41 +42,5 @@ class Accumulator {
 /// maximum, and (e.g.) p=50 of two samples is the *first* — pinned by
 /// small-sample tests before anything reports a p99 through this.
 double percentile(std::span<const double> sample, double p);
-
-/// Histogram over sorted bucket edges, used for bucketing the
-/// data-redistribution experiments by connection count (Table 2) and
-/// the reconfiguration-stall distributions of the R sweep.
-///
-/// Buckets are half-open `[edges[i], edges[i+1])`, except the last,
-/// which is explicitly open-ended `[edges.back(), +inf)` — its
-/// `upper_edge` is +infinity and `overflow_bucket` names it.  Samples
-/// below `edges[0]` land in no bucket; they are counted in
-/// `underflow()` so dropped samples stay observable instead of
-/// vanishing silently.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> edges);
-
-  void add(double x) noexcept;
-
-  std::size_t bucket_count() const noexcept { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const;
-  double lower_edge(std::size_t bucket) const;
-  /// Exclusive upper bound of a bucket; +infinity for the overflow
-  /// bucket.
-  double upper_edge(std::size_t bucket) const;
-  /// Index of the open-ended `[edges.back(), +inf)` bucket.
-  std::size_t overflow_bucket() const noexcept { return counts_.size() - 1; }
-  /// Samples below the first edge (dropped from every bucket).
-  std::size_t underflow() const noexcept { return underflow_; }
-  /// Total samples added, bucketed or not.
-  std::size_t total() const noexcept { return total_; }
-
- private:
-  std::vector<double> edges_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t total_ = 0;
-};
 
 }  // namespace optdm::util

@@ -177,7 +177,6 @@ TEST(CacheStress, HeldEntriesSurviveEvictionUnderContention) {
   apps::ScheduleCache::Options options;
   options.capacity = 2;
   options.shards = 1;
-  options.keep_text = true;
   apps::ScheduleCache cache(torus(), options);
 
   // Indexed by key number; `at` keeps the int -> size_t conversions

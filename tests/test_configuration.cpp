@@ -39,10 +39,10 @@ TEST(LinkSetTest, InsertContainsErase) {
   EXPECT_TRUE(set.contains(3));
   EXPECT_TRUE(set.contains(64));
   EXPECT_FALSE(set.contains(4));
-  EXPECT_EQ(set.count(), 3);
+  EXPECT_EQ(set.size(), 3);
   set.erase(64);
   EXPECT_FALSE(set.contains(64));
-  EXPECT_EQ(set.count(), 2);
+  EXPECT_EQ(set.size(), 2);
 }
 
 TEST(LinkSetTest, OutOfRangeThrows) {
@@ -121,7 +121,7 @@ TEST(LinkSetTest, ClearEmpties) {
   a.insert(63);
   a.clear();
   EXPECT_TRUE(a.empty());
-  EXPECT_EQ(a.count(), 0);
+  EXPECT_EQ(a.size(), 0);
 }
 
 TEST(ConfigurationTest, AddRefusesConflicts) {
@@ -151,8 +151,8 @@ TEST(ConfigurationTest, UsedLinksIsUnion) {
   const auto b = make_path(net, {3, 4});
   config.add(a);
   config.add(b);
-  EXPECT_EQ(config.used_links().count(),
-            a.occupancy.count() + b.occupancy.count());
+  EXPECT_EQ(config.used_links().size(),
+            a.occupancy.size() + b.occupancy.size());
 }
 
 TEST(ScheduleTest, AppendRejectsEmpty) {

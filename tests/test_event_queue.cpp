@@ -1,12 +1,9 @@
-// Tests for the slot-indexed event queues behind the dynamic-protocol
-// simulator: sim::SlotQueue (the live engine's queue, which keys
-// payloads by slot and replays push order within a slot) and
-// sim::CalendarQueue (the keyed predecessor, kept for the frozen A/B
-// reference and anything that needs embedded (time, seq) keys).  The
-// load-bearing property for both is the ordering contract: pops come
-// out globally ordered by (time, push-order), byte-identical to a
-// binary heap over the same comparison, for any push sequence with
-// monotonically non-decreasing scheduling times.
+// Tests for sim::SlotQueue, the slot-indexed event queue behind the
+// dynamic-protocol simulator: it keys payloads by slot and replays push
+// order within a slot.  The load-bearing property is the ordering
+// contract: polls come out globally ordered by (time, push-order),
+// byte-identical to a binary heap over the same comparison, for any
+// push sequence with monotonically non-decreasing scheduling times.
 
 #include <gtest/gtest.h>
 
@@ -21,10 +18,11 @@ namespace {
 
 using namespace optdm;
 
+/// Reference-heap entry: the (time, push-order) key a SlotQueue never
+/// stores.
 struct Event {
   std::int64_t time = 0;
   std::int64_t seq = 0;
-  int payload = 0;
 
   friend bool operator>(const Event& a, const Event& b) {
     if (a.time != b.time) return a.time > b.time;
@@ -32,133 +30,12 @@ struct Event {
   }
 };
 
-/// Drives a CalendarQueue and a reference heap through the same
-/// simulator-shaped schedule: each step pops the earliest event (the
-/// simulation clock) and pushes a few new events at `now + delta`.
-/// Every pop must match the heap exactly.
-void run_equivalence(std::size_t window, std::int64_t max_delta,
-                     int pushes_per_pop, std::uint64_t seed) {
-  sim::CalendarQueue<Event> queue(window);
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> reference;
-  util::Rng rng(seed);
-  std::int64_t seq = 0;
-  int payload = 0;
-
-  const auto push_at = [&](std::int64_t time) {
-    const Event ev{time, seq++, payload++};
-    queue.push(ev);
-    reference.push(ev);
-  };
-
-  for (int i = 0; i < 16; ++i) push_at(rng.uniform(0, max_delta));
-
-  std::int64_t now = 0;
-  int drained = 0;
-  while (!reference.empty()) {
-    ASSERT_EQ(queue.size(), reference.size());
-    const Event expected = reference.top();
-    reference.pop();
-    const Event got = queue.pop();
-    ASSERT_EQ(got.time, expected.time);
-    ASSERT_EQ(got.seq, expected.seq);
-    ASSERT_EQ(got.payload, expected.payload);
-    ASSERT_GE(got.time, now) << "time went backwards";
-    now = got.time;
-    // Keep the population bounded: stop feeding after enough churn.
-    if (++drained < 3000)
-      for (int p = 0; p < pushes_per_pop; ++p)
-        push_at(now + rng.uniform(0, max_delta));
-  }
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST(CalendarQueue, MatchesHeapWithinTheRingWindow) {
-  // Deltas always inside the ring: the overflow heap stays empty.
-  run_equivalence(/*window=*/1024, /*max_delta=*/1000, /*pushes_per_pop=*/2,
-                  /*seed=*/1);
-}
-
-TEST(CalendarQueue, MatchesHeapAcrossOverflowMigration) {
-  // Deltas up to 20x the ring size: most pushes land in the overflow
-  // heap and migrate into the ring as the cursor advances.
-  run_equivalence(/*window=*/64, /*max_delta=*/1280, /*pushes_per_pop=*/2,
-                  /*seed=*/2);
-}
-
-TEST(CalendarQueue, MatchesHeapUnderHeavySlotCollisions) {
-  // Tiny delta range: many events share each slot, exercising FIFO order
-  // within a bucket.
-  run_equivalence(/*window=*/256, /*max_delta=*/3, /*pushes_per_pop=*/3,
-                  /*seed=*/3);
-}
-
-TEST(CalendarQueue, FifoWithinOneTime) {
-  sim::CalendarQueue<Event> queue(64);
-  for (int i = 0; i < 100; ++i) queue.push(Event{5, i, i});
-  for (int i = 0; i < 100; ++i) {
-    const auto ev = queue.pop();
-    EXPECT_EQ(ev.seq, i);
-  }
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST(CalendarQueue, JumpsAcrossAnEmptyHorizon) {
-  // All pending events far beyond the window: pop must jump the cursor
-  // straight to the overflow's earliest time.
-  sim::CalendarQueue<Event> queue(64);
-  queue.push(Event{0, 0, 0});
-  queue.push(Event{1'000'000, 1, 1});
-  queue.push(Event{1'000'000, 2, 2});
-  queue.push(Event{50'000'000, 3, 3});
-  EXPECT_EQ(queue.pop().time, 0);
-  EXPECT_EQ(queue.pop().seq, 1);
-  EXPECT_EQ(queue.pop().seq, 2);
-  EXPECT_EQ(queue.pop().time, 50'000'000);
-  EXPECT_TRUE(queue.empty());
-}
-
-TEST(CalendarQueue, ReusesBucketsAcrossLaps) {
-  // The same ring slot is filled, drained, and refilled many laps apart;
-  // sizes stay consistent throughout.
-  sim::CalendarQueue<Event> queue(64);
-  std::int64_t seq = 0;
-  std::int64_t now = 0;
-  for (int lap = 0; lap < 100; ++lap) {
-    queue.push(Event{now, seq++, lap});
-    queue.push(Event{now + 63, seq++, lap});
-    const auto first = queue.pop();
-    EXPECT_EQ(first.time, now);
-    const auto second = queue.pop();
-    EXPECT_EQ(second.time, now + 63);
-    EXPECT_TRUE(queue.empty());
-    now += 64;  // next lap lands on the same bucket indices
-    queue.push(Event{now, seq++, lap});
-    EXPECT_EQ(queue.pop().time, now);
-  }
-}
-
-TEST(CalendarQueue, SizeAndEmptyTrackContents) {
-  sim::CalendarQueue<Event> queue;
-  EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.size(), 0u);
-  queue.push(Event{0, 0, 0});
-  queue.push(Event{2000, 1, 1});  // overflow for the default window
-  EXPECT_FALSE(queue.empty());
-  EXPECT_EQ(queue.size(), 2u);
-  queue.pop();
-  EXPECT_EQ(queue.size(), 1u);
-  queue.pop();
-  EXPECT_TRUE(queue.empty());
-}
-
-// ---------------------------------------------------------------------
-// SlotQueue: the payload carries no key at all, so equivalence is
-// checked against a reference model keyed by (time, push order).
-
 /// Drives a SlotQueue and a reference heap through the same
-/// simulator-shaped schedule as `run_equivalence` above.  The payload is
-/// the push ordinal, so matching the heap's (time, seq) pop sequence
-/// proves the queue reconstructs the FIFO tie-break it never stored.
+/// simulator-shaped schedule: each step polls the earliest payload (the
+/// simulation clock) and pushes a few new payloads at `now + delta`.
+/// The payload is the push ordinal, so matching the heap's (time, seq)
+/// pop sequence proves the queue reconstructs the FIFO tie-break it
+/// never stored.
 void run_slot_equivalence(std::size_t window, std::int64_t max_delta,
                           int pushes_per_pop, std::uint64_t seed) {
   sim::SlotQueue<int> queue(window);
@@ -168,7 +45,7 @@ void run_slot_equivalence(std::size_t window, std::int64_t max_delta,
 
   const auto push_at = [&](std::int64_t time) {
     queue.push(time, static_cast<int>(seq));
-    reference.push(Event{time, seq, 0});
+    reference.push(Event{time, seq});
     ++seq;
   };
 

@@ -209,7 +209,7 @@ TEST(RunReport, SlotOccupancyMirrorsTheSchedule) {
     const auto& config =
         schedule.configuration(slot.slot);
     EXPECT_EQ(slot.connections, static_cast<int>(config.size()));
-    EXPECT_EQ(slot.links_used, config.used_links().count());
+    EXPECT_EQ(slot.links_used, config.used_links().size());
     EXPECT_GE(slot.utilization, 0.0);
     EXPECT_LE(slot.utilization, 1.0);
     connections += slot.connections;

@@ -26,7 +26,7 @@ TEST(Path, WrapsRouteWithProcessorLinks) {
 TEST(Path, OccupancyMatchesLinks) {
   topo::TorusNetwork net(8, 8);
   const auto path = make_path(net, {5, 40});
-  EXPECT_EQ(path.occupancy.count(),
+  EXPECT_EQ(path.occupancy.size(),
             static_cast<int>(path.links.size()));
   for (const auto link : path.links)
     EXPECT_TRUE(path.occupancy.contains(link));
@@ -115,7 +115,7 @@ TEST_P(PathPropertyTest, RandomPairsProduceValidPaths) {
       const auto path = make_path(*net, {s, d});
       EXPECT_EQ(path.links.front(), net->injection_link(s));
       EXPECT_EQ(path.links.back(), net->ejection_link(d));
-      EXPECT_EQ(path.occupancy.count(), static_cast<int>(path.links.size()));
+      EXPECT_EQ(path.occupancy.size(), static_cast<int>(path.links.size()));
       topo::NodeId at = s;
       for (const auto id : path.links) {
         EXPECT_EQ(net->link(id).from, at);

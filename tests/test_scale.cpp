@@ -173,7 +173,6 @@ TEST(Scale, LinkSetCardinalityIsMaintainedByWordOps) {
     ++expected;
   }
   EXPECT_EQ(set.size(), expected);
-  EXPECT_EQ(set.count(), expected);
   set.insert(0);  // duplicate insert is a no-op for the cardinality
   EXPECT_EQ(set.size(), expected);
   set.erase(0);

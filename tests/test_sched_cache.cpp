@@ -537,26 +537,32 @@ TEST(ScheduleCache, EvictionBudgetIsPerShard) {
 }
 
 TEST(ScheduleCache, KeepTextMemoizesByteIdenticalSerialization) {
+  // Every entry memoizes its `io::write_schedule` text, whichever tier
+  // the hit comes from.
   topo::TorusNetwork net(4, 4);
+  const auto dir = fresh_dir("memoized_text");
   const auto pattern = patterns::ring(net.node_count());
   const auto key =
       apps::make_cache_key(net, pattern, "combined", sched::SchedOptions{});
   const auto value = compile_ring(net);
+  const auto expected = text_of(net, value.schedule);
+
+  apps::ScheduleCache memory(net);
+  memory.store(key, value);
+  const auto memory_hit = memory.lookup(key);
+  ASSERT_NE(memory_hit, nullptr);
+  EXPECT_EQ(memory_hit->schedule_text, expected);
 
   apps::ScheduleCache::Options options;
-  options.keep_text = true;
-  apps::ScheduleCache keeping(net, options);
-  keeping.store(key, value);
-  const auto hit = keeping.lookup(key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->schedule_text, text_of(net, value.schedule));
-
-  // Without keep_text the entry carries no memoized bytes.
-  apps::ScheduleCache plain(net);
-  plain.store(key, value);
-  const auto plain_hit = plain.lookup(key);
-  ASSERT_NE(plain_hit, nullptr);
-  EXPECT_TRUE(plain_hit->schedule_text.empty());
+  options.disk_dir = dir;
+  apps::ScheduleCache(net, options).store(key, value);
+  apps::ScheduleCache reader(net, options);
+  bool from_disk = false;
+  const auto disk_hit = reader.lookup(key, &from_disk);
+  ASSERT_NE(disk_hit, nullptr);
+  EXPECT_TRUE(from_disk);
+  EXPECT_EQ(disk_hit->schedule_text, expected);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ScheduleCache, GetOrComputeServesHitsAndReportsProvenance) {
@@ -644,7 +650,6 @@ TEST(ScheduleCache, EntryHeldByAReaderSurvivesEviction) {
   topo::TorusNetwork net(4, 4);
   apps::ScheduleCache::Options options;
   options.capacity = 1;
-  options.keep_text = true;
   apps::ScheduleCache cache(net, options);
   const auto key_of = [&](std::int64_t frame) {
     return apps::make_cache_key(net, patterns::ring(net.node_count()),

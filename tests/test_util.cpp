@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <vector>
 
@@ -14,7 +13,6 @@ namespace {
 
 using optdm::util::Accumulator;
 using optdm::util::CliArgs;
-using optdm::util::Histogram;
 using optdm::util::percentile;
 using optdm::util::Rng;
 using optdm::util::Table;
@@ -143,45 +141,6 @@ TEST(Percentile, TwoSamplesFollowNearestRank) {
   EXPECT_DOUBLE_EQ(percentile(v, 50), 1.0);
   EXPECT_DOUBLE_EQ(percentile(v, 99), 2.0);
   EXPECT_DOUBLE_EQ(percentile(v, 100), 2.0);
-}
-
-TEST(HistogramTest, BucketsAndOverflow) {
-  Histogram h({0, 10, 20});
-  h.add(0);
-  h.add(5);
-  h.add(10);
-  h.add(25);   // final bucket is [20, inf)
-  h.add(-1);   // below first edge: dropped
-  EXPECT_EQ(h.bucket_count(), 3u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(2), 1u);
-}
-
-TEST(HistogramTest, TracksUnderflowAndTotalExplicitly) {
-  Histogram h({0, 10, 20});
-  h.add(-1);
-  h.add(-100);
-  h.add(5);
-  h.add(25);
-  EXPECT_EQ(h.underflow(), 2u);  // below the first edge, not in a bucket
-  EXPECT_EQ(h.total(), 4u);      // every add, dropped or not
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(h.overflow_bucket()), 1u);
-}
-
-TEST(HistogramTest, ExposesBucketEdgesAndTheOpenEndedTail) {
-  Histogram h({0, 10, 20});
-  EXPECT_EQ(h.overflow_bucket(), 2u);
-  EXPECT_DOUBLE_EQ(h.upper_edge(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.upper_edge(1), 20.0);
-  EXPECT_TRUE(std::isinf(h.upper_edge(h.overflow_bucket())));
-  EXPECT_THROW(h.upper_edge(3), std::out_of_range);
-}
-
-TEST(HistogramTest, RejectsUnsortedEdges) {
-  EXPECT_THROW(Histogram({3, 1, 2}), std::invalid_argument);
-  EXPECT_THROW(Histogram({}), std::invalid_argument);
 }
 
 TEST(TableTest, AlignsColumns) {
