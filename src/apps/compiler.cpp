@@ -1,7 +1,5 @@
 #include "apps/compiler.hpp"
 
-#include "sched/bounds.hpp"
-
 namespace optdm::apps {
 
 CommCompiler::CommCompiler(const topo::TorusNetwork& net)
@@ -9,11 +7,9 @@ CommCompiler::CommCompiler(const topo::TorusNetwork& net)
 
 CompiledPhase CommCompiler::compile(const core::RequestSet& pattern,
                                     obs::SchedCounters* counters) const {
-  auto [schedule, winner] =
+  auto [schedule, winner, lower_bound] =
       sched::combined_with_winner(*aapc_, pattern, counters);
-  const auto paths = core::route_all(*net_, pattern);
-  return CompiledPhase{std::move(schedule), winner,
-                       sched::multiplexing_lower_bound(*net_, paths)};
+  return CompiledPhase{std::move(schedule), winner, lower_bound};
 }
 
 sim::CompiledResult CommCompiler::execute(

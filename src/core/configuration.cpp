@@ -4,7 +4,14 @@
 
 namespace optdm::core {
 
-bool Configuration::add(Path path) {
+bool Configuration::add(const Path& path) {
+  if (!accepts(path)) return false;
+  used_.merge(path.occupancy);
+  paths_.push_back(path);
+  return true;
+}
+
+bool Configuration::add(Path&& path) {
   if (!accepts(path)) return false;
   used_.merge(path.occupancy);
   paths_.push_back(std::move(path));

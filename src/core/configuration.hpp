@@ -40,8 +40,10 @@ class Configuration {
   }
 
   /// Adds a path; returns false (and leaves the configuration unchanged)
-  /// if it conflicts with a member.
-  bool add(Path path);
+  /// if it conflicts with a member.  The conflict test runs first, so a
+  /// rejected path is never copied.
+  bool add(const Path& path);
+  bool add(Path&& path);
 
   const std::vector<Path>& paths() const noexcept { return paths_; }
   std::size_t size() const noexcept { return paths_.size(); }

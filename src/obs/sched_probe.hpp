@@ -20,7 +20,10 @@ namespace optdm::obs {
 struct SchedCounters {
   /// Wall time of `core::route_all` (deterministic routing), nanoseconds.
   std::int64_t route_ns = -1;
-  /// Wall time to build the path conflict graph, nanoseconds.
+  /// Wall time to build the coloring's `core::LinkOccupancy` index and
+  /// run its conflict-degree pass, nanoseconds.  No conflict graph is
+  /// built any more; the field keeps its name so the report schema stays
+  /// stable.
   std::int64_t graph_build_ns = -1;
   /// Wall time of the coloring heuristic proper (graph build excluded).
   std::int64_t coloring_ns = -1;
@@ -29,7 +32,8 @@ struct SchedCounters {
   /// Wall time of the greedy first-fit scheduler.
   std::int64_t greedy_ns = -1;
 
-  /// Conflict-graph size: vertices (= paths) and undirected edges.
+  /// Conflict-graph size: vertices (= paths) and undirected edges (half
+  /// the sum of the conflict degrees).
   std::int64_t conflict_vertices = -1;
   std::int64_t conflict_edges = -1;
   /// Color classes extracted by the coloring heuristic (== its degree).

@@ -1,7 +1,10 @@
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <vector>
 
+#include "core/link_occupancy.hpp"
 #include "core/path.hpp"
 #include "topo/network.hpp"
 
@@ -9,7 +12,8 @@
 /// Lower bounds on the multiplexing degree required for a routed pattern.
 /// Every heuristic schedule must have degree >= `multiplexing_lower_bound`;
 /// the property tests assert this for all algorithms on all patterns, and
-/// the benches report heuristic/bound gaps.
+/// the benches report heuristic/bound gaps.  All of them work from the
+/// link→paths `core::LinkOccupancy` index; none builds the conflict graph.
 
 namespace optdm::sched {
 
@@ -21,14 +25,28 @@ namespace optdm::sched {
 int link_congestion_bound(const topo::Network& net,
                           std::span<const core::Path> paths);
 
-/// Size of a greedily-grown clique in the conflict graph: pairwise
-/// conflicting requests all need distinct slots.  At least as strong as
-/// `link_congestion_bound` in principle, but heuristic; the combined bound
-/// takes the max of both.
+/// Greedy heuristic clique of the conflict graph, given every path's
+/// conflict degree (`LinkOccupancy::conflict_degrees`): visits the paths by
+/// descending degree (ties toward the lower index) and keeps each one
+/// that conflicts with every path kept so far.  Returns the kept indices
+/// in that order.
+std::vector<std::int32_t> heuristic_clique(std::span<const core::Path> paths,
+                                           std::span<const int> degrees);
+
+/// Size of `heuristic_clique`: pairwise conflicting requests all need
+/// distinct slots.  At least as strong as `link_congestion_bound` in
+/// principle, but heuristic; the combined bound takes the max of both.
 int clique_bound(std::span<const core::Path> paths);
 
 /// max(link congestion, heuristic clique).
 int multiplexing_lower_bound(const topo::Network& net,
                              std::span<const core::Path> paths);
+
+/// The same bound from an index of `paths` and their conflict degrees that
+/// the caller already built (the combined scheduler shares its coloring
+/// branch's).
+int multiplexing_lower_bound(std::span<const core::Path> paths,
+                             const core::LinkOccupancy& index,
+                             std::span<const int> degrees);
 
 }  // namespace optdm::sched

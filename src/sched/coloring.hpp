@@ -1,7 +1,9 @@
 #pragma once
 
 #include <span>
+#include <vector>
 
+#include "core/link_occupancy.hpp"
 #include "core/schedule.hpp"
 #include "obs/sched_probe.hpp"
 #include "topo/network.hpp"
@@ -49,11 +51,33 @@ enum class ColoringPriority {
 
 /// Coloring-based scheduling over pre-routed paths.  A non-null
 /// `counters` receives conflict-graph size, pass count, and phase
-/// timings; null skips all measurement.
+/// timings; null skips all measurement.  The conflict graph is never
+/// materialized: degrees and neighbour updates come from a
+/// `core::LinkOccupancy` index of `paths`.
 core::Schedule coloring_paths(
     const topo::Network& net, std::span<const core::Path> paths,
     ColoringPriority priority = ColoringPriority::kDegreeTimesLength,
     obs::SchedCounters* counters = nullptr);
+
+/// What the coloring reads besides the paths: their link→paths occupancy
+/// index and conflict degrees.
+struct ConflictIndex {
+  core::LinkOccupancy occupancy;
+  std::vector<int> degrees;
+
+  /// Indexes `paths` (which must outlive the result), timed into
+  /// `counters->graph_build_ns` unless `paths` is empty.
+  static ConflictIndex build(std::span<const core::Path> paths,
+                             obs::SchedCounters* counters = nullptr);
+};
+
+/// The same coloring over an index of `paths` the caller already built,
+/// e.g. to reuse it for the lower bound.
+core::Schedule coloring_paths(const topo::Network& net,
+                              std::span<const core::Path> paths,
+                              const ConflictIndex& index,
+                              ColoringPriority priority,
+                              obs::SchedCounters* counters = nullptr);
 
 /// Convenience overload with deterministic routing.
 core::Schedule coloring(

@@ -1,5 +1,6 @@
 #include "sched/combined.hpp"
 
+#include "sched/bounds.hpp"
 #include "sched/coloring.hpp"
 #include "sched/ordered_aapc.hpp"
 #include "util/parallel.hpp"
@@ -16,14 +17,23 @@ CombinedResult combined_with_winner(const aapc::TorusAapc& aapc,
   // after the barrier.
   core::Schedule by_coloring;
   core::Schedule by_aapc;
+  int lower_bound = 0;
   obs::SchedCounters coloring_counters;
   obs::SchedCounters aapc_counters;
   util::parallel_invoke(
       [&] {
-        by_coloring =
-            coloring(aapc.network(), requests,
-                     ColoringPriority::kDegreeTimesLength,
-                     counters ? &coloring_counters : nullptr);
+        auto* measured = counters ? &coloring_counters : nullptr;
+        std::vector<core::Path> paths;
+        {
+          obs::PhaseTimer timer(measured, &obs::SchedCounters::route_ns);
+          paths = core::route_all(aapc.network(), requests);
+        }
+        const auto index = ConflictIndex::build(paths, measured);
+        by_coloring = coloring_paths(aapc.network(), paths, index,
+                                     ColoringPriority::kDegreeTimesLength,
+                                     measured);
+        lower_bound =
+            multiplexing_lower_bound(paths, index.occupancy, index.degrees);
       },
       [&] {
         obs::PhaseTimer timer(counters ? &aapc_counters : nullptr,
@@ -37,10 +47,12 @@ CombinedResult combined_with_winner(const aapc::TorusAapc& aapc,
   }
   if (by_aapc.degree() < by_coloring.degree()) {
     if (counters) counters->combined_winner = to_string(CombinedWinner::kOrderedAapc);
-    return CombinedResult{std::move(by_aapc), CombinedWinner::kOrderedAapc};
+    return CombinedResult{std::move(by_aapc), CombinedWinner::kOrderedAapc,
+                          lower_bound};
   }
   if (counters) counters->combined_winner = to_string(CombinedWinner::kColoring);
-  return CombinedResult{std::move(by_coloring), CombinedWinner::kColoring};
+  return CombinedResult{std::move(by_coloring), CombinedWinner::kColoring,
+                        lower_bound};
 }
 
 core::Schedule combined(const aapc::TorusAapc& aapc,

@@ -22,12 +22,16 @@ enum class CombinedWinner { kColoring, kOrderedAapc };
 struct CombinedResult {
   core::Schedule schedule;
   CombinedWinner winner = CombinedWinner::kColoring;
+  /// `multiplexing_lower_bound` of the pattern's deterministic routes;
+  /// schedule.degree() >= lower_bound always.
+  int lower_bound = 0;
 };
 
 /// Runs coloring and ordered-AAPC, returns the better schedule.  Ties go to
-/// coloring (it uses the default deterministic routes).  A non-null
-/// `counters` collects both branches' phase timings plus the winner name;
-/// null skips all measurement.
+/// coloring (it uses the default deterministic routes).  The lower bound
+/// is computed once, from the coloring branch's routes and occupancy
+/// index.  A non-null `counters` collects both branches' phase timings
+/// plus the winner name; null skips all measurement.
 CombinedResult combined_with_winner(const aapc::TorusAapc& aapc,
                                     const core::RequestSet& requests,
                                     obs::SchedCounters* counters = nullptr);

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/conflict_graph.hpp"
+#include "sched/bounds.hpp"
 #include "sched/coloring.hpp"
 
 namespace optdm::sched {
@@ -23,13 +24,13 @@ class ExactColoring {
 
   /// Returns the coloring with the fewest colors found, bounded above by
   /// `upper_bound_hint`; nullopt when the node budget is exhausted before
-  /// the search space is closed.
-  std::optional<std::vector<int>> solve(int upper_bound_hint) {
+  /// the search space is closed.  `clique` is pre-colored: its vertices
+  /// must all differ, so fixing them breaks most color-permutation
+  /// symmetry.
+  std::optional<std::vector<int>> solve(int upper_bound_hint,
+                                        std::span<const std::int32_t> clique) {
     best_colors_ = upper_bound_hint;
 
-    // Pre-color a heuristic clique: its vertices must all differ, so
-    // fixing them breaks most color-permutation symmetry.
-    const auto clique = graph_.heuristic_clique();
     order_.assign(static_cast<std::size_t>(n_), -1);
     std::vector<bool> in_order(static_cast<std::size_t>(n_), false);
     std::size_t at = 0;
@@ -115,8 +116,12 @@ std::optional<core::Schedule> exact_paths(const topo::Network& net,
   // The coloring heuristic provides the initial upper bound (+1 so an
   // equally-good exact witness is still *found*, not just proven to exist).
   const auto heuristic = coloring_paths(net, paths);
+  std::vector<int> degrees(paths.size());
+  for (std::int32_t v = 0; v < graph.vertex_count(); ++v)
+    degrees[static_cast<std::size_t>(v)] = graph.degree(v);
   ExactColoring solver(graph, options.node_budget);
-  const auto assignment = solver.solve(heuristic.degree() + 1);
+  const auto assignment =
+      solver.solve(heuristic.degree() + 1, heuristic_clique(paths, degrees));
   if (!assignment || !solver.proved_optimal()) return std::nullopt;
 
   const int colors =

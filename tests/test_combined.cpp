@@ -2,6 +2,7 @@
 
 #include "patterns/named.hpp"
 #include "patterns/random.hpp"
+#include "sched/bounds.hpp"
 #include "sched/coloring.hpp"
 #include "sched/combined.hpp"
 #include "sched/ordered_aapc.hpp"
@@ -55,6 +56,25 @@ TEST_F(CombinedTest, ConvenienceOverloadsAgree) {
   const auto requests = patterns::random_pattern(64, 200, rng);
   EXPECT_EQ(sched::combined(aapc_, requests).degree(),
             sched::combined(net_, requests).degree());
+}
+
+TEST_F(CombinedTest, LowerBoundIsThePatternsMultiplexingBound) {
+  // The combined scheduler computes the bound once, from its coloring
+  // branch's routes and index; it must equal the stand-alone bound.
+  util::Rng rng(5);
+  std::vector<core::RequestSet> patterns_to_check = {
+      {}, patterns::all_to_all(64), patterns::ring(64),
+      patterns::hypercube(64)};
+  for (const int conns : {10, 300, 2000})
+    patterns_to_check.push_back(patterns::random_pattern(64, conns, rng));
+  for (const auto& requests : patterns_to_check) {
+    const auto result = sched::combined_with_winner(aapc_, requests);
+    EXPECT_EQ(result.lower_bound,
+              sched::multiplexing_lower_bound(
+                  net_, core::route_all(net_, requests)))
+        << requests.size() << " connections";
+    EXPECT_GE(result.schedule.degree(), result.lower_bound);
+  }
 }
 
 TEST(CombinedWinnerName, ToString) {

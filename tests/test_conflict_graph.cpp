@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/conflict_graph.hpp"
+#include "core/link_occupancy.hpp"
 #include "patterns/random.hpp"
+#include "sched/bounds.hpp"
 #include "topo/line.hpp"
 #include "topo/torus.hpp"
 #include "util/rng.hpp"
@@ -10,6 +14,13 @@ namespace {
 
 using namespace optdm;
 using core::ConflictGraph;
+
+std::vector<int> degrees_of(const ConflictGraph& graph) {
+  std::vector<int> degrees;
+  for (std::int32_t v = 0; v < graph.vertex_count(); ++v)
+    degrees.push_back(graph.degree(v));
+  return degrees;
+}
 
 TEST(ConflictGraph, Fig3Instance) {
   // The paper's Fig. 3 requests on a 5-node linear array.
@@ -34,7 +45,7 @@ TEST(ConflictGraph, EmptyGraph) {
   ConflictGraph graph(std::span<const core::Path>{});
   EXPECT_EQ(graph.vertex_count(), 0);
   EXPECT_EQ(graph.edge_count(), 0u);
-  EXPECT_TRUE(graph.heuristic_clique().empty());
+  EXPECT_TRUE(sched::heuristic_clique({}, {}).empty());
 }
 
 TEST(ConflictGraph, NeighborsMatchAdjacency) {
@@ -76,7 +87,7 @@ TEST(ConflictGraph, CliqueIsActuallyAClique) {
   const auto requests = patterns::random_pattern(64, 300, rng);
   const auto paths = core::route_all(net, requests);
   ConflictGraph graph(paths);
-  const auto clique = graph.heuristic_clique();
+  const auto clique = sched::heuristic_clique(paths, degrees_of(graph));
   EXPECT_GE(clique.size(), 1u);
   for (std::size_t i = 0; i < clique.size(); ++i)
     for (std::size_t j = i + 1; j < clique.size(); ++j)
@@ -91,7 +102,67 @@ TEST(ConflictGraph, SameSourceRequestsFormClique) {
   const auto paths = core::route_all(net, requests);
   ConflictGraph graph(paths);
   EXPECT_EQ(graph.edge_count(), 15u);  // complete graph on 6 vertices
-  EXPECT_EQ(graph.heuristic_clique().size(), 6u);
+  EXPECT_EQ(sched::heuristic_clique(paths, degrees_of(graph)).size(), 6u);
+}
+
+TEST(LinkOccupancy, NeighborWalksMatchTheGraph) {
+  topo::TorusNetwork net(4, 4);
+  util::Rng rng(41);
+  const auto paths =
+      core::route_all(net, patterns::random_pattern(16, 60, rng));
+  const ConflictGraph graph(paths);
+  const core::LinkOccupancy index(paths);
+  EXPECT_EQ(index.conflict_degrees(), degrees_of(graph));
+
+  std::vector<std::int32_t> stamp(paths.size(), -1);
+  for (std::int32_t v = 0; v < graph.vertex_count(); ++v) {
+    std::vector<std::int32_t> seen;
+    index.for_each_neighbor(v, stamp,
+                            [&](std::int32_t u) { seen.push_back(u); });
+    std::sort(seen.begin(), seen.end());
+    const auto expected = graph.neighbors(v);
+    EXPECT_TRUE(std::equal(seen.begin(), seen.end(), expected.begin(),
+                           expected.end()))
+        << "vertex " << v;
+  }
+
+  // Erasing visits every remaining neighbour once with `first` set (and
+  // again per further shared link without it), then drops the path.
+  core::LinkOccupancy remaining = index;
+  std::vector<std::int32_t> erase_stamp(paths.size(), -1);
+  std::vector<bool> erased(paths.size(), false);
+  for (std::int32_t v = 0; v < graph.vertex_count(); ++v) {
+    std::size_t entries = 0;  // occupants other than v on v's links
+    for (const auto link : paths[static_cast<std::size_t>(v)].links)
+      entries += remaining.occupants(link).size() - 1;
+    std::vector<std::int32_t> firsts;
+    std::size_t repeats = 0;
+    remaining.erase(v, erase_stamp, [&](std::int32_t u, bool first) {
+      EXPECT_NE(u, v);
+      EXPECT_FALSE(erased[static_cast<std::size_t>(u)]);
+      if (first)
+        firsts.push_back(u);
+      else
+        ++repeats;
+    });
+    erased[static_cast<std::size_t>(v)] = true;
+    std::vector<std::int32_t> expected;
+    for (const auto u : graph.neighbors(v))
+      if (!erased[static_cast<std::size_t>(u)]) expected.push_back(u);
+    std::sort(firsts.begin(), firsts.end());
+    EXPECT_EQ(firsts, expected) << "vertex " << v;
+    EXPECT_EQ(firsts.size() + repeats, entries) << "vertex " << v;
+    for (const auto link : paths[static_cast<std::size_t>(v)].links) {
+      const auto left = remaining.occupants(link);
+      EXPECT_TRUE(std::is_sorted(left.begin(), left.end()));
+      EXPECT_EQ(std::find(left.begin(), left.end(), v), left.end());
+    }
+  }
+  for (topo::LinkId link = 0; link < net.link_count(); ++link)
+    EXPECT_TRUE(remaining.occupants(link).empty());
+  EXPECT_EQ(remaining.max_occupancy(), 0);
+  EXPECT_EQ(index.max_occupancy(),
+            sched::link_congestion_bound(net, paths));
 }
 
 }  // namespace

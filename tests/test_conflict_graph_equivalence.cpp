@@ -2,18 +2,25 @@
 //  1. the inverted-index ConflictGraph construction matches the brute-force
 //     all-pairs construction edge-for-edge on random patterns over every
 //     topology family;
-//  2. coloring_paths output is byte-identical to the pre-heap-rewrite
-//     reference implementation (a literal O(n) best-vertex scan per
-//     selection, reproduced below) for every ColoringPriority rule.
+//  2. coloring_paths output is byte-identical to the reference
+//     implementation (a literal O(n) best-vertex scan per selection over
+//     the conflict graph, reproduced below) for every ColoringPriority
+//     rule, on small random patterns and on tie-heavy and larger ones;
+//  3. the graph-free bounds (link congestion from the occupancy index, the
+//     paths-based heuristic clique) equal the same bounds computed through
+//     the conflict graph.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <vector>
 
 #include "core/conflict_graph.hpp"
+#include "patterns/named.hpp"
 #include "patterns/random.hpp"
+#include "sched/bounds.hpp"
 #include "sched/coloring.hpp"
 #include "topo/hypercube.hpp"
 #include "topo/mesh.hpp"
@@ -175,15 +182,17 @@ std::vector<std::vector<std::pair<topo::NodeId, topo::NodeId>>> flatten(
   return slots;
 }
 
+constexpr sched::ColoringPriority kAllRules[] = {
+    sched::ColoringPriority::kDegreeTimesLength,
+    sched::ColoringPriority::kDegreeOnly,
+    sched::ColoringPriority::kLengthOverDegree,
+    sched::ColoringPriority::kInverseDegree,
+    sched::ColoringPriority::kLengthOnly,
+    sched::ColoringPriority::kStaticLengthOverDegree,
+};
+
 TEST(ColoringEquivalence, HeapSelectionMatchesLinearScanForAllRules) {
-  const sched::ColoringPriority rules[] = {
-      sched::ColoringPriority::kDegreeTimesLength,
-      sched::ColoringPriority::kDegreeOnly,
-      sched::ColoringPriority::kLengthOverDegree,
-      sched::ColoringPriority::kInverseDegree,
-      sched::ColoringPriority::kLengthOnly,
-      sched::ColoringPriority::kStaticLengthOverDegree,
-  };
+  const auto& rules = kAllRules;
   util::Rng rng(1996);
   for (const auto& topology : topology_zoo()) {
     for (const int conns : {5, 40, 120}) {
@@ -200,6 +209,93 @@ TEST(ColoringEquivalence, HeapSelectionMatchesLinearScanForAllRules) {
                      std::to_string(static_cast<int>(rule)));
         EXPECT_EQ(flatten(heap_based), flatten(reference));
       }
+    }
+  }
+}
+
+TEST(ColoringEquivalence, MatchesLinearScanOnTieHeavyAndLargerInputs) {
+  // All-to-all patterns give thousands of equal priorities (ties resolved
+  // by index); the larger inputs spread the priorities over more key
+  // digits and leave many passes that end before the order is exhausted.
+  topo::TorusNetwork torus4(4, 4);
+  topo::TorusNetwork torus8(8, 8);
+  util::Rng rng(2602);
+  struct Case {
+    const topo::Network* net;
+    core::RequestSet requests;
+    std::string label;
+  };
+  const Case cases[] = {
+      {&torus4, patterns::all_to_all(16), "all-to-all 4x4"},
+      {&torus8, patterns::all_to_all(64), "all-to-all 8x8"},
+      {&torus8, patterns::random_pattern(64, 1200, rng), "1200 random 8x8"},
+  };
+  for (const auto& c : cases) {
+    const auto paths = core::route_all(*c.net, c.requests);
+    for (const auto rule : kAllRules) {
+      SCOPED_TRACE(c.label + ", rule " +
+                   std::to_string(static_cast<int>(rule)));
+      EXPECT_EQ(flatten(sched::coloring_paths(*c.net, paths, rule)),
+                flatten(reference_coloring(*c.net, paths, rule)));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Reference bounds: both computed through the conflict graph, the way
+// sched::clique_bound and sched::link_congestion_bound did before they
+// moved onto the occupancy index.
+// ---------------------------------------------------------------------------
+
+int reference_clique_size(const ConflictGraph& graph) {
+  std::vector<std::int32_t> order(
+      static_cast<std::size_t>(graph.vertex_count()));
+  for (std::int32_t v = 0; v < graph.vertex_count(); ++v)
+    order[static_cast<std::size_t>(v)] = v;
+  std::sort(order.begin(), order.end(), [&](std::int32_t a, std::int32_t b) {
+    const int da = graph.degree(a);
+    const int db = graph.degree(b);
+    return da != db ? da > db : a < b;
+  });
+  std::vector<std::int32_t> clique;
+  for (const auto v : order) {
+    const bool fits =
+        std::all_of(clique.begin(), clique.end(), [&](std::int32_t member) {
+          return graph.adjacent(v, member);
+        });
+    if (fits) clique.push_back(v);
+  }
+  return static_cast<int>(clique.size());
+}
+
+int reference_congestion(const topo::Network& net,
+                         std::span<const core::Path> paths) {
+  std::vector<int> usage(static_cast<std::size_t>(net.link_count()), 0);
+  for (const auto& path : paths)
+    for (const auto link : path.links) ++usage[static_cast<std::size_t>(link)];
+  return *std::max_element(usage.begin(), usage.end());
+}
+
+TEST(BoundsEquivalence, GraphFreeBoundsMatchGraphOnAllTopologies) {
+  util::Rng rng(1701);
+  for (const auto& topology : topology_zoo()) {
+    const std::int64_t universe =
+        static_cast<std::int64_t>(topology.nodes) * (topology.nodes - 1);
+    std::vector<core::RequestSet> inputs;
+    for (const int conns : {1, 10, 60, static_cast<int>(universe / 2)})
+      inputs.push_back(patterns::random_pattern(topology.nodes, conns, rng));
+    inputs.push_back(patterns::all_to_all(topology.nodes));
+    for (const auto& requests : inputs) {
+      const auto paths = core::route_all(*topology.net, requests);
+      const ConflictGraph graph(paths);
+      SCOPED_TRACE(topology.net->name() + ", " +
+                   std::to_string(requests.size()) + " connections");
+      EXPECT_EQ(sched::clique_bound(paths), reference_clique_size(graph));
+      EXPECT_EQ(sched::link_congestion_bound(*topology.net, paths),
+                reference_congestion(*topology.net, paths));
+      EXPECT_EQ(sched::multiplexing_lower_bound(*topology.net, paths),
+                std::max(reference_clique_size(graph),
+                         reference_congestion(*topology.net, paths)));
     }
   }
 }

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/conflict_graph.hpp"
+#include "core/link_occupancy.hpp"
 #include "patterns/random.hpp"
 #include "topo/torus.hpp"
 #include "util/parallel.hpp"
@@ -121,6 +122,27 @@ TEST(Parallel, ConflictGraphIsThreadCountInvariant) {
                              actual.begin(), actual.end()));
     }
   }
+}
+
+TEST(Parallel, ConflictDegreesAreThreadCountInvariant) {
+  // The degree pass runs in parallel chunks, each deduplicating through
+  // its own stamp array.  It must match a serial run of the same pass (a
+  // region nested in a worker runs inline) and the all-pairs graph, on
+  // every repeat.
+  topo::TorusNetwork net(8, 8);
+  util::Rng rng(7);
+  const auto paths =
+      core::route_all(net, patterns::random_pattern(64, 600, rng));
+  const core::LinkOccupancy index(paths);
+  const auto reference = core::ConflictGraph::brute_force(paths);
+  std::vector<int> serial;
+  util::parallel_invoke([&] { serial = index.conflict_degrees(); }, [] {});
+  ASSERT_EQ(serial.size(), paths.size());
+  for (std::int32_t v = 0; v < reference.vertex_count(); ++v)
+    ASSERT_EQ(serial[static_cast<std::size_t>(v)], reference.degree(v))
+        << "vertex " << v;
+  for (int round = 0; round < 3; ++round)
+    ASSERT_EQ(index.conflict_degrees(), serial);
 }
 
 }  // namespace
