@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "aapc/ring_schedule.hpp"
 #include "aapc/torus_aapc.hpp"
 #include "apps/pipeline.hpp"
 #include "core/conflict_graph.hpp"
@@ -153,6 +154,23 @@ void BM_AapcConstruction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AapcConstruction);
+
+void BM_RingScheduleBuild(benchmark::State& state) {
+  // The ring schedule search itself, unmemoized: what the first process
+  // to touch an n x n torus pays (BM_AapcConstruction above only times
+  // the memoized lookup).  10, 12 and 16 each relax past their lower
+  // bound, so every failing candidate runs out its node budget.
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(aapc::RingSchedule::build(n).phase_count());
+  }
+}
+BENCHMARK(BM_RingScheduleBuild)
+    ->Arg(10)
+    ->Arg(12)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_RedistributionPlan(benchmark::State& state) {
   util::Rng rng(42);

@@ -30,6 +30,9 @@
 /// phase counts — exactly optimal at N = 8), larger sizes (the 32x32 and
 /// 64x64 scale substrates) a deterministic first-fit construction that
 /// always succeeds at a small constant factor above the link lower bound.
+/// The search's budgeted candidates (phase count x pair order) run
+/// speculatively across the thread pool; the lowest-indexed success wins,
+/// so the table does not depend on the thread count.
 
 namespace optdm::aapc {
 
@@ -52,7 +55,8 @@ class RingSchedule {
   static RingSchedule build(int n);
 
   /// Memoized `build`; the returned reference lives for the program.
-  /// Thread-compatible: callers must not race the first call per size.
+  /// Thread-safe: a mutex makes the first call per size a single-flight
+  /// build, which other callers of any size wait for.
   static const RingSchedule& for_size(int n);
 
   int size() const noexcept { return n_; }

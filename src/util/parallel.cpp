@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <deque>
 #include <exception>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -106,27 +108,65 @@ class Pool {
   bool stop_ = false;
 };
 
-/// Completion latch shared by the chunks of one parallel region.
+/// Shared state of one parallel region.  Chunks are claimed from `next` by
+/// whichever thread gets there first: a pool worker running one of the
+/// region's queued tasks, or the caller once its own share is done.  So a
+/// region never waits on a chunk nobody has started, and it completes even
+/// when every worker is blocked elsewhere (say, on a lock the caller
+/// holds).  The state is shared with the queued tasks because a task can
+/// be dequeued after the region returned; it then finds nothing left to
+/// claim and never touches `work`, whose captures live on the caller's
+/// stack.
 struct Region {
+  Region(std::size_t chunk_count, std::function<void(std::size_t)> chunk_work)
+      : chunks(chunk_count), work(std::move(chunk_work)), pending(chunk_count) {}
+
+  const std::size_t chunks;
+  const std::function<void(std::size_t)> work;
+  std::atomic<std::size_t> next{0};
   std::mutex mutex;
   std::condition_variable done;
-  std::size_t pending = 0;
+  std::size_t pending;
   std::exception_ptr error;
 
-  void finish_one(std::exception_ptr chunk_error) {
+  /// Claims and runs the next unstarted chunk; false once none is left.
+  bool run_next() {
+    const std::size_t chunk = next.fetch_add(1, std::memory_order_relaxed);
+    if (chunk >= chunks) return false;
+    std::exception_ptr chunk_error;
+    try {
+      work(chunk);
+    } catch (...) {
+      chunk_error = std::current_exception();
+    }
     const std::lock_guard<std::mutex> lock(mutex);
     if (chunk_error && !error) error = std::move(chunk_error);
     if (--pending == 0) done.notify_all();
+    return true;
   }
 
-  void wait_quiet() {
+  /// Runs unstarted chunks on the calling thread, then waits for the ones
+  /// workers picked up.  The caller runs its share marked as in-region, so
+  /// a nested parallel_for inside a chunk runs serially on every thread
+  /// alike (workers carry the flag permanently).
+  void help_and_wait() {
+    tls_in_worker = true;
+    while (run_next()) {
+    }
+    tls_in_worker = false;
     std::unique_lock<std::mutex> lock(mutex);
     done.wait(lock, [this] { return pending == 0; });
   }
 
-  void wait() {
-    wait_quiet();
-    if (error) std::rethrow_exception(error);
+  /// Queues one task per worker-side chunk; each runs chunks until none is
+  /// left.
+  static void submit(Pool& pool, const std::shared_ptr<Region>& region,
+                     std::size_t tasks) {
+    for (std::size_t t = 0; t < tasks; ++t)
+      pool.submit([region] {
+        while (region->run_next()) {
+        }
+      });
   }
 };
 
@@ -159,32 +199,15 @@ void parallel_for_chunks(
   const std::size_t chunks = n < threads ? n : threads;
   const std::size_t base = n / chunks;
   const std::size_t extra = n % chunks;
-
-  Region region;
-  region.pending = chunks;
-  const auto run_chunk = [&body, &region, base, extra](std::size_t c) {
-    // Chunk c covers [c*base + min(c, extra), ...) — contiguous, exact.
-    const std::size_t begin = c * base + (c < extra ? c : extra);
-    const std::size_t end = begin + base + (c < extra ? 1 : 0);
-    std::exception_ptr error;
-    try {
-      body(begin, end);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    region.finish_one(std::move(error));
-  };
-
-  for (std::size_t c = 1; c < chunks; ++c) {
-    pool.submit([&run_chunk, c] { run_chunk(c); });
-  }
-  // The caller executes its own share marked as in-region, so a nested
-  // parallel_for inside the body runs serially on every thread alike
-  // (workers carry the flag permanently).
-  tls_in_worker = true;
-  run_chunk(0);  // never throws; exceptions are captured in the region
-  tls_in_worker = false;
-  region.wait();
+  const auto region = std::make_shared<Region>(
+      chunks, [&body, base, extra](std::size_t c) {
+        // Chunk c covers [c*base + min(c, extra), ...) — contiguous, exact.
+        const std::size_t begin = c * base + (c < extra ? c : extra);
+        body(begin, begin + base + (c < extra ? 1 : 0));
+      });
+  Region::submit(pool, region, chunks - 1);
+  region->help_and_wait();
+  if (region->error) std::rethrow_exception(region->error);
 }
 
 void parallel_for(std::size_t n,
@@ -207,17 +230,9 @@ void parallel_invoke(const std::function<void()>& a,
     b();
     return;
   }
-  Region region;
-  region.pending = 1;
-  pool.submit([&a, &region] {
-    std::exception_ptr error;
-    try {
-      a();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    region.finish_one(std::move(error));
-  });
+  const auto region =
+      std::make_shared<Region>(1, [&a](std::size_t) { a(); });
+  Region::submit(pool, region, 1);
   std::exception_ptr b_error;
   tls_in_worker = true;
   try {
@@ -226,9 +241,9 @@ void parallel_invoke(const std::function<void()>& a,
     b_error = std::current_exception();
   }
   tls_in_worker = false;
-  region.wait_quiet();
+  region->help_and_wait();
   if (b_error) std::rethrow_exception(b_error);
-  if (region.error) std::rethrow_exception(region.error);
+  if (region->error) std::rethrow_exception(region->error);
 }
 
 }  // namespace optdm::util

@@ -23,6 +23,12 @@
 /// serially on that worker (no new tasks are enqueued), so nested
 /// parallelism cannot deadlock and inner loops cost nothing extra.
 ///
+/// **Progress.**  A region never waits on a chunk no thread has started:
+/// the caller runs, inline, every chunk no worker has claimed yet.  So a
+/// region completes even when every worker is blocked — for example on a
+/// lock the caller holds while running the region (the memoized ring
+/// schedule search does exactly that).
+///
 /// **Configuration.**  The pool is created lazily on first use with
 /// `OPTDM_THREADS` workers if that environment variable is set to a
 /// positive integer, else `std::thread::hardware_concurrency()`.
@@ -51,8 +57,8 @@ void parallel_for_chunks(
     std::size_t n,
     const std::function<void(std::size_t, std::size_t)>& body);
 
-/// Runs `a` and `b` concurrently (b on the calling thread) and waits for
-/// both.  Exceptions propagate; if both throw, `b`'s exception wins.
+/// Runs `a` and `b` concurrently (b on the calling thread; a too, if no
+/// worker has picked it up by the time b returns) and waits for both.  Exceptions propagate; if both throw, `b`'s exception wins.
 void parallel_invoke(const std::function<void()>& a,
                      const std::function<void()>& b);
 

@@ -9,9 +9,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <future>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/conflict_graph.hpp"
@@ -101,6 +106,64 @@ TEST(Parallel, InvokePropagatesExceptionsFromEitherBranch) {
   EXPECT_THROW(util::parallel_invoke([] {},
                                      [] { throw std::logic_error("b"); }),
                std::logic_error);
+}
+
+TEST(Parallel, RegionCompletesWhileEveryWorkerIsBlocked) {
+  // The caller of a region runs every chunk no worker has started, so a
+  // region on a non-pool thread completes even while every pool worker is
+  // blocked — here on a latch that opens only after the region returns.
+  // (The memoized ring schedule search runs a region under its lock while
+  // pool workers may be waiting for that lock.)
+  const auto threads =
+      static_cast<std::size_t>(util::parallel_thread_count());
+  if (threads < 2) GTEST_SKIP() << "needs pool workers";
+
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::size_t parked = 0;
+  bool open = false;
+  // One chunk per thread: the parking thread and every worker each block
+  // in one.
+  std::thread parker([&] {
+    util::parallel_for_chunks(threads, [&](std::size_t, std::size_t) {
+      std::unique_lock<std::mutex> lock(mutex);
+      ++parked;
+      cv.notify_all();
+      cv.wait(lock, [&] { return open; });
+    });
+  });
+  bool all_parked = false;
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    all_parked = cv.wait_for(lock, std::chrono::seconds(20),
+                             [&] { return parked == threads; });
+  }
+
+  std::atomic<std::size_t> covered{0};
+  std::atomic<int> invoked{0};
+  std::promise<void> done;
+  auto finished = done.get_future();
+  std::thread runner([&] {
+    util::parallel_for(1000, [&](std::size_t) { ++covered; });
+    util::parallel_invoke([&] { ++invoked; }, [&] { ++invoked; });
+    done.set_value();
+  });
+  // A region that waited on a queued chunk would hang until the latch
+  // opens; bound the wait so a regression fails instead of hanging.
+  const bool completed = finished.wait_for(std::chrono::seconds(20)) ==
+                         std::future_status::ready;
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    open = true;
+  }
+  cv.notify_all();
+  parker.join();
+  runner.join();
+
+  ASSERT_TRUE(all_parked) << "pool workers never all picked up a chunk";
+  EXPECT_TRUE(completed) << "region waited on chunks no worker could start";
+  EXPECT_EQ(covered.load(), 1000u);
+  EXPECT_EQ(invoked.load(), 2);
 }
 
 TEST(Parallel, ConflictGraphIsThreadCountInvariant) {

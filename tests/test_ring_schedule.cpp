@@ -2,9 +2,11 @@
 
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "aapc/ring_schedule.hpp"
+#include "util/hash.hpp"
 
 namespace {
 
@@ -124,7 +126,44 @@ TEST_P(RingScheduleProperty, PhaseInvariantsHold) {
 // 32 and 64 exercise the first-fit constructive path used for the scale
 // substrates; the smaller sizes run the backtracking search.
 INSTANTIATE_TEST_SUITE_P(EvenSizes, RingScheduleProperty,
-                         ::testing::Values(2, 4, 6, 8, 10, 12, 32, 64));
+                         ::testing::Values(2, 4, 6, 8, 10, 12, 14, 16, 32,
+                                           64));
+
+/// FNV-1a over the "phase:dir;" text of every ordered pair, row-major.
+std::uint64_t table_fingerprint(const RingSchedule& s) {
+  std::string text;
+  for (int src = 0; src < s.size(); ++src)
+    for (int dst = 0; dst < s.size(); ++dst)
+      text += std::to_string(s.phase_of(src, dst)) + ':' +
+              std::to_string(s.dir_of(src, dst)) + ';';
+  return optdm::util::fnv1a64(text);
+}
+
+TEST(RingSchedule, TablesArePinned) {
+  // The torus AAPC decomposition, and with it every ordered-AAPC schedule,
+  // is built from these tables; they must not move with the search's
+  // implementation or the thread count (the search runs its candidates
+  // speculatively in parallel, and the lowest-indexed success must win).
+  struct Golden {
+    int n;
+    int phases;
+    std::uint64_t fingerprint;
+  };
+  const Golden goldens[] = {
+      {2, 2, 0x7c537a77717f9450ULL},    {4, 4, 0x9a59986a7795de5fULL},
+      {6, 6, 0xfc9741fedb69c95cULL},    {8, 8, 0x1de82c4172d7ec43ULL},
+      {10, 14, 0xeb47583dc13e5c7fULL},  {12, 20, 0x45848803ac3cf1a5ULL},
+      {14, 27, 0xaf1f3a5822c6a13aULL},  {16, 35, 0x0f1a02907c1e6573ULL},
+      {18, 44, 0x6792a944ddd4219bULL},  {32, 132, 0x69ea20fbdb7d70b1ULL},
+      {64, 520, 0xaef6e88e27e2958bULL},
+  };
+  for (const auto& golden : goldens) {
+    SCOPED_TRACE("ring size " + std::to_string(golden.n));
+    const auto s = RingSchedule::build(golden.n);
+    EXPECT_EQ(s.phase_count(), golden.phases);
+    EXPECT_EQ(table_fingerprint(s), golden.fingerprint);
+  }
+}
 
 TEST(RingSchedule, SizeEightSaturatesEveryLinkEveryPhase) {
   // At the optimum every directed link is busy in every phase.
