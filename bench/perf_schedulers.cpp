@@ -5,6 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <map>
+#include <memory>
+
 #include "aapc/ring_schedule.hpp"
 #include "aapc/torus_aapc.hpp"
 #include "apps/pipeline.hpp"
@@ -40,6 +43,18 @@ const aapc::TorusAapc& torus_aapc() {
 const topo::TorusNetwork& big_torus() {
   static topo::TorusNetwork net(16, 16);
   return net;
+}
+
+// An n x n torus and its AAPC decomposition, built once per size.
+const aapc::TorusAapc& square_torus_aapc(int n) {
+  static std::map<int, std::unique_ptr<topo::TorusNetwork>> nets;
+  static std::map<int, std::unique_ptr<aapc::TorusAapc>> decompositions;
+  auto& decomposition = decompositions[n];
+  if (!decomposition) {
+    nets[n] = std::make_unique<topo::TorusNetwork>(n, n);
+    decomposition = std::make_unique<aapc::TorusAapc>(*nets[n]);
+  }
+  return *decomposition;
 }
 
 core::RequestSet pattern_of_size(int conns) {
@@ -134,6 +149,22 @@ void BM_Combined(benchmark::State& state) {
 }
 BENCHMARK(BM_Combined)->Arg(1000)->Arg(4000);
 
+// The full combined compile of a 12x12 all-to-all: route, index, then
+// coloring beside ordered-AAPC and the lower bound.
+void BM_CombinedAllToAll(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto& decomposition = square_torus_aapc(n);
+  const auto requests = patterns::all_to_all(n * n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sched::combined(decomposition, requests).degree());
+  }
+}
+BENCHMARK(BM_CombinedAllToAll)
+    ->Arg(12)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
 void BM_OrderedAapc(benchmark::State& state) {
   const auto requests = pattern_of_size(static_cast<int>(state.range(0)));
   const auto& decomposition = torus_aapc();
@@ -143,6 +174,24 @@ void BM_OrderedAapc(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OrderedAapc)->Arg(100)->Arg(1000)->Arg(4000);
+
+// Ordered-AAPC on a dense pattern above 8x8, where its greedy step places
+// hundreds of configurations (289 at 12x12, 662 at 16x16) and the combined
+// scheduler discards its result.
+void BM_OrderedAapcAllToAll(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto& decomposition = square_torus_aapc(n);
+  const auto requests = patterns::all_to_all(n * n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sched::ordered_aapc(decomposition, requests).degree());
+  }
+}
+BENCHMARK(BM_OrderedAapcAllToAll)
+    ->Arg(12)
+    ->Arg(16)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_AapcConstruction(benchmark::State& state) {
   // Cost of building the torus AAPC phase structure (ring schedules are

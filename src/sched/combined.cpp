@@ -10,35 +10,37 @@ namespace optdm::sched {
 CombinedResult combined_with_winner(const aapc::TorusAapc& aapc,
                                     const core::RequestSet& requests,
                                     obs::SchedCounters* counters) {
-  // The two component algorithms are independent, so the compiler runs
-  // them concurrently; the winner rule below is evaluated after both
-  // finish, so the result does not depend on which branch completes first.
-  // Each branch measures into its own counters to avoid sharing, merged
-  // after the barrier.
+  // Route and index before the fork: a region nested in a
+  // `parallel_invoke` branch runs serially, so here the index's degree
+  // pass gets the whole pool.  The winner rule runs after the barrier, so
+  // the result does not depend on which branch finishes first.  Each
+  // branch measures into its own counters, merged after the barrier.
+  obs::SchedCounters coloring_counters;
+  obs::SchedCounters aapc_counters;
+  auto* measured = counters ? &coloring_counters : nullptr;
+  std::vector<core::Path> paths;
+  {
+    obs::PhaseTimer timer(measured, &obs::SchedCounters::route_ns);
+    paths = core::route_all(aapc.network(), requests);
+  }
+  const auto index = ConflictIndex::build(paths, measured);
   core::Schedule by_coloring;
   core::Schedule by_aapc;
   int lower_bound = 0;
-  obs::SchedCounters coloring_counters;
-  obs::SchedCounters aapc_counters;
   util::parallel_invoke(
       [&] {
-        auto* measured = counters ? &coloring_counters : nullptr;
-        std::vector<core::Path> paths;
-        {
-          obs::PhaseTimer timer(measured, &obs::SchedCounters::route_ns);
-          paths = core::route_all(aapc.network(), requests);
-        }
-        const auto index = ConflictIndex::build(paths, measured);
         by_coloring = coloring_paths(aapc.network(), paths, index,
                                      ColoringPriority::kDegreeTimesLength,
                                      measured);
-        lower_bound =
-            multiplexing_lower_bound(paths, index.occupancy, index.degrees);
       },
       [&] {
-        obs::PhaseTimer timer(counters ? &aapc_counters : nullptr,
-                              &obs::SchedCounters::aapc_ns);
-        by_aapc = ordered_aapc(aapc, requests);
+        {
+          obs::PhaseTimer timer(counters ? &aapc_counters : nullptr,
+                                &obs::SchedCounters::aapc_ns);
+          by_aapc = ordered_aapc(aapc, requests);
+        }
+        lower_bound =
+            multiplexing_lower_bound(paths, index.occupancy, index.degrees);
       });
   if (counters) {
     *counters = coloring_counters;

@@ -28,10 +28,16 @@ struct CombinedResult {
 };
 
 /// Runs coloring and ordered-AAPC, returns the better schedule.  Ties go to
-/// coloring (it uses the default deterministic routes).  The lower bound
-/// is computed once, from the coloring branch's routes and occupancy
-/// index.  A non-null `counters` collects both branches' phase timings
-/// plus the winner name; null skips all measurement.
+/// coloring (it uses the default deterministic routes).
+///
+/// Stage order: route the requests with the default router, then build
+/// the `ConflictIndex` (occupancy and conflict degrees) over the whole
+/// thread pool, then fork.  One branch runs the coloring over the index;
+/// the other runs ordered-AAPC and then `multiplexing_lower_bound`, which
+/// reads the same index.  Both branches only read the shared routes and
+/// index, so the result is the sequential composition's at any thread
+/// count.  A non-null `counters` collects the route, index, coloring and
+/// AAPC timings plus the winner name; null skips all measurement.
 CombinedResult combined_with_winner(const aapc::TorusAapc& aapc,
                                     const core::RequestSet& requests,
                                     obs::SchedCounters* counters = nullptr);

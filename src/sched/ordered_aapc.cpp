@@ -8,8 +8,8 @@
 
 namespace optdm::sched {
 
-core::Schedule ordered_aapc(const aapc::TorusAapc& aapc,
-                            const core::RequestSet& requests) {
+std::vector<core::Path> aapc_ordered_paths(const aapc::TorusAapc& aapc,
+                                           const core::RequestSet& requests) {
   const auto phase_total = static_cast<std::size_t>(aapc.phase_count());
 
   // Route every request the way the AAPC schedule routes it and accumulate
@@ -40,7 +40,7 @@ core::Schedule ordered_aapc(const aapc::TorusAapc& aapc,
     position[static_cast<std::size_t>(phase_order[i])] = static_cast<int>(i);
 
   // Reorder the requests so same-phase requests are adjacent, higher-rank
-  // phases first (line 7); then run greedy (line 8).
+  // phases first (line 7).
   std::vector<std::size_t> order(requests.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
@@ -51,8 +51,13 @@ core::Schedule ordered_aapc(const aapc::TorusAapc& aapc,
   std::vector<core::Path> reordered;
   reordered.reserve(paths.size());
   for (const auto i : order) reordered.push_back(std::move(paths[i]));
+  return reordered;
+}
 
-  return greedy_paths(aapc.network(), reordered);
+core::Schedule ordered_aapc(const aapc::TorusAapc& aapc,
+                            const core::RequestSet& requests) {
+  // Greedy over the reordered sequence (line 8).
+  return greedy_paths(aapc.network(), aapc_ordered_paths(aapc, requests));
 }
 
 core::Schedule ordered_aapc(const topo::TorusNetwork& net,

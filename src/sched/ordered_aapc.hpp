@@ -1,5 +1,7 @@
 #pragma once
 
+#include <vector>
+
 #include "aapc/torus_aapc.hpp"
 #include "core/schedule.hpp"
 #include "topo/torus.hpp"
@@ -18,6 +20,13 @@
 /// pass is free to merge sparse phases into fewer configurations.
 
 namespace optdm::sched {
+
+/// Fig. 5 lines 1-7: every request routed the way the AAPC schedule routes
+/// it, reordered so that same-phase requests are adjacent and phases come
+/// in descending order of link utilization (ties in phase order).  This is
+/// the sequence `ordered_aapc` hands to `greedy_paths`.
+std::vector<core::Path> aapc_ordered_paths(const aapc::TorusAapc& aapc,
+                                           const core::RequestSet& requests);
 
 /// Ordered-AAPC scheduling.  Paths are routed by the AAPC schedule itself
 /// (its half-ring direction choices may differ from the default router).

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "io/pattern_io.hpp"
 #include "patterns/named.hpp"
 #include "patterns/random.hpp"
 #include "sched/bounds.hpp"
@@ -74,6 +80,46 @@ TEST_F(CombinedTest, LowerBoundIsThePatternsMultiplexingBound) {
                   net_, core::route_all(net_, requests)))
         << requests.size() << " connections";
     EXPECT_GE(result.schedule.degree(), result.lower_bound);
+  }
+}
+
+std::string schedule_text(const topo::Network& net,
+                          const core::Schedule& schedule) {
+  std::ostringstream out;
+  io::write_schedule(out, net, schedule);
+  return out.str();
+}
+
+TEST(CombinedComposition, MatchesTheSequentialComposition) {
+  // The combined scheduler routes and indexes once, then runs coloring
+  // beside ordered-AAPC and the lower bound.  Its result must be exactly
+  // the one-after-another composition of the stand-alone entry points:
+  // coloring, ordered-AAPC, the bound, then ties to coloring.  The 8x8
+  // all-to-all is the case ordered-AAPC wins.
+  const topo::TorusNetwork net8(8, 8);
+  const topo::TorusNetwork net12(12, 12);
+  const topo::TorusNetwork net16(16, 16);
+  util::Rng rng(16);
+  const std::vector<std::pair<const topo::TorusNetwork*, core::RequestSet>>
+      cases = {{&net8, patterns::all_to_all(64)},
+               {&net12, patterns::all_to_all(144)},
+               {&net16, patterns::random_pattern(256, 16000, rng)}};
+  for (const auto& [net, requests] : cases) {
+    const aapc::TorusAapc aapc(*net);
+    const auto paths = core::route_all(*net, requests);
+    const auto by_coloring = sched::coloring_paths(*net, paths);
+    const auto by_aapc = sched::ordered_aapc(aapc, requests);
+    const int bound = sched::multiplexing_lower_bound(*net, paths);
+    const bool aapc_wins = by_aapc.degree() < by_coloring.degree();
+
+    const auto result = sched::combined_with_winner(aapc, requests);
+    EXPECT_EQ(schedule_text(*net, result.schedule),
+              schedule_text(*net, aapc_wins ? by_aapc : by_coloring))
+        << net->name();
+    EXPECT_EQ(result.winner, aapc_wins ? sched::CombinedWinner::kOrderedAapc
+                                       : sched::CombinedWinner::kColoring)
+        << net->name();
+    EXPECT_EQ(result.lower_bound, bound) << net->name();
   }
 }
 
