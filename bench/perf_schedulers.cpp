@@ -45,15 +45,20 @@ const topo::TorusNetwork& big_torus() {
   return net;
 }
 
-// An n x n torus and its AAPC decomposition, built once per size.
-const aapc::TorusAapc& square_torus_aapc(int n) {
+// An n x n torus, built once per size.
+const topo::TorusNetwork& square_torus(int n) {
   static std::map<int, std::unique_ptr<topo::TorusNetwork>> nets;
+  auto& net = nets[n];
+  if (!net) net = std::make_unique<topo::TorusNetwork>(n, n);
+  return *net;
+}
+
+// An n x n torus's AAPC decomposition, built once per size.
+const aapc::TorusAapc& square_torus_aapc(int n) {
   static std::map<int, std::unique_ptr<aapc::TorusAapc>> decompositions;
   auto& decomposition = decompositions[n];
-  if (!decomposition) {
-    nets[n] = std::make_unique<topo::TorusNetwork>(n, n);
-    decomposition = std::make_unique<aapc::TorusAapc>(*nets[n]);
-  }
+  if (!decomposition)
+    decomposition = std::make_unique<aapc::TorusAapc>(square_torus(n));
   return *decomposition;
 }
 
@@ -76,6 +81,35 @@ void BM_Routing(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Routing)->Arg(100)->Arg(1000)->Arg(4000);
+
+// Routing a whole n x n all-to-all: each path keeps only its link list.
+void BM_RouteAll(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto& net = square_torus(n);
+  const auto requests = patterns::all_to_all(n * n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::route_all(net, requests));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(requests.size()));
+}
+BENCHMARK(BM_RouteAll)->Arg(12)->Arg(16)->Unit(benchmark::kMillisecond);
+
+// Re-validating every configuration of an n x n all-to-all schedule, the
+// check a service response runs: one bit probe per link of every path.
+void BM_ValidateSchedule(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const auto schedule =
+      sched::greedy(square_torus(n), patterns::all_to_all(n * n));
+  for (auto _ : state) {
+    for (const auto& config : schedule.configurations())
+      benchmark::DoNotOptimize(config.validate());
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations()) *
+      static_cast<std::int64_t>(schedule.connection_count()));
+}
+BENCHMARK(BM_ValidateSchedule)->Arg(8)->Arg(16);
 
 void BM_ConflictGraph(benchmark::State& state) {
   const auto paths = core::route_all(

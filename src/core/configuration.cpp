@@ -1,19 +1,20 @@
 #include "core/configuration.hpp"
 
 #include <cstdint>
+#include <stdexcept>
 
 namespace optdm::core {
 
 bool Configuration::add(const Path& path) {
   if (!accepts(path)) return false;
-  used_.merge(path.occupancy);
+  for (const auto link : path.links) used_.insert(link);
   paths_.push_back(path);
   return true;
 }
 
 bool Configuration::add(Path&& path) {
   if (!accepts(path)) return false;
-  used_.merge(path.occupancy);
+  for (const auto link : path.links) used_.insert(link);
   paths_.push_back(std::move(path));
   return true;
 }
@@ -39,23 +40,26 @@ std::optional<std::string> first_conflicting_pair(std::span<const Path> paths) {
 }  // namespace
 
 std::optional<std::string> validate_disjoint(std::span<const Path> paths) {
-  // Linear: the paths are pairwise link-disjoint iff none intersects the
-  // running union of those before it (kept as raw occupancy words — this
+  // Linear: the paths are pairwise link-disjoint iff none holds a link of
+  // the running union of those before it (kept as raw bit words — this
   // runs on every service response).  Any anomaly, a collision or a path
-  // over a different link universe, defers to the pair scan, so the
-  // verdict, the message naming the first pair in (i, j) order, and the
-  // universe-mismatch exception are exactly the pair scan's.
+  // over a different link count, defers to the pair scan, so the verdict,
+  // the message naming the first pair in (i, j) order, and the
+  // link-count-mismatch exception are exactly the pair scan's.
   if (paths.empty()) return std::nullopt;
-  const int universe = paths.front().occupancy.universe_size();
-  std::vector<std::uint64_t> seen(paths.front().occupancy.words().size(), 0);
+  const int link_count = paths.front().link_count;
+  std::vector<std::uint64_t> seen(
+      (static_cast<std::size_t>(link_count) + 63) / 64, 0);
   for (const auto& path : paths) {
-    if (path.occupancy.universe_size() != universe)
-      return first_conflicting_pair(paths);
-    const auto words = path.occupancy.words();
+    if (path.link_count != link_count) return first_conflicting_pair(paths);
     std::uint64_t overlap = 0;
-    for (std::size_t w = 0; w < words.size(); ++w) {
-      overlap |= seen[w] & words[w];
-      seen[w] |= words[w];
+    for (const auto link : path.links) {
+      if (link < 0 || link >= link_count)
+        throw std::out_of_range("validate_disjoint: link outside network");
+      const auto id = static_cast<std::size_t>(link);
+      const std::uint64_t bit = std::uint64_t{1} << (id % 64);
+      overlap |= seen[id / 64] & bit;
+      seen[id / 64] |= bit;
     }
     if (overlap != 0) return first_conflicting_pair(paths);
   }

@@ -23,21 +23,20 @@ std::optional<std::string> validate_disjoint(std::span<const Path> paths);
 
 /// A conflict-free set of established paths.
 ///
-/// The class maintains the union of all member occupancies so membership
-/// tests are O(words).  `add` refuses conflicting paths, keeping the
-/// invariant "no two member paths share a directed link" true by
-/// construction; `validate` re-checks it from scratch (every service
-/// response runs it).
+/// The class keeps one bitset, `used_`, the union of all member links, so
+/// a membership test is one bit probe per link of the candidate path.
+/// `add` refuses conflicting paths, keeping the invariant "no two member
+/// paths share a directed link" true by construction; `validate` re-checks
+/// it from scratch (every service response runs it).
 class Configuration {
  public:
   Configuration() = default;
   explicit Configuration(int link_count) : used_(link_count) {}
 
-  /// True if `path` could be added without conflict.  Throws if `path`
-  /// belongs to a network with a different link count.
-  bool accepts(const Path& path) const {
-    return !used_.intersects(path.occupancy);
-  }
+  /// True if `path` could be added without conflict.  Throws
+  /// `std::invalid_argument` if `path` belongs to a network with a
+  /// different link count.
+  bool accepts(const Path& path) const { return !intersects(used_, path); }
 
   /// Adds a path; returns false (and leaves the configuration unchanged)
   /// if it conflicts with a member.  The conflict test runs first, so a
@@ -49,7 +48,7 @@ class Configuration {
   std::size_t size() const noexcept { return paths_.size(); }
   bool empty() const noexcept { return paths_.empty(); }
 
-  /// Union of all member link occupancies.
+  /// Union of all member links.
   const LinkSet& used_links() const noexcept { return used_; }
 
   /// Re-validation independent of the incremental bookkeeping, linear in

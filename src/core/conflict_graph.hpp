@@ -21,10 +21,9 @@ class ConflictGraph {
  public:
   /// Builds the graph from the link→paths `LinkOccupancy` index: candidate
   /// edges are generated only from per-link occupant lists, so the cost is
-  /// O(Σ_link occupants(link)²) instead of the all-pairs
-  /// O(n² · words) LinkSet intersection.  Per-vertex rows are discovered
-  /// independently (and in parallel); the result is identical to the
-  /// brute-force construction.
+  /// O(Σ_link occupants(link)²) instead of an O(n²) test of every pair
+  /// of paths.  Per-vertex rows are discovered independently (and in
+  /// parallel); the result is identical to the brute-force construction.
   /// Throws `std::invalid_argument` if the paths span different networks.
   explicit ConflictGraph(std::span<const Path> paths);
 

@@ -10,10 +10,10 @@ namespace optdm::core {
 
 LinkOccupancy::LinkOccupancy(std::span<const Path> paths) : paths_(paths) {
   if (paths.empty()) return;
-  const int link_count = paths[0].occupancy.universe_size();
+  const int link_count = paths[0].link_count;
   std::size_t total_link_refs = 0;
   for (const auto& path : paths) {
-    if (path.occupancy.universe_size() != link_count)
+    if (path.link_count != link_count)
       throw std::invalid_argument(
           "LinkOccupancy: paths routed on different networks");
     total_link_refs += path.links.size();

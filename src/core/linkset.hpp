@@ -7,9 +7,12 @@
 #include "topo/ids.hpp"
 
 /// \file linkset.hpp
-/// Dense bitset over directed link ids.  Conflict detection between paths
-/// and within configurations is the inner loop of every scheduling
-/// algorithm, so it is implemented as word-parallel bit operations.
+/// Dense bitset over directed link ids, one bit per link of a network.
+/// Paths do not carry one (they are sparse link lists); a set is kept only
+/// where many paths' links meet: a configuration's used links, a fault's
+/// failed links.  A path is tested against a set one bit per link
+/// (`core::intersects` in path.hpp); the word-parallel set operations
+/// serve set-to-set tests.
 
 namespace optdm::core {
 

@@ -1,5 +1,6 @@
 #include "core/path.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -24,17 +25,18 @@ Path assemble(const topo::Network& net, Request request,
   for (const auto link : network_links) path.links.push_back(link);
   path.links.push_back(net.ejection_link(request.dst));
 
-  // Validate contiguity and build occupancy in one pass.
-  path.occupancy = LinkSet(net.link_count());
+  // Validate contiguity and link uniqueness in one pass.  Routes are at
+  // most diameter + 2 links, so the quadratic uniqueness scan costs less
+  // than a network-sized scratch set.
+  path.link_count = net.link_count();
   topo::NodeId at = request.src;
-  for (std::size_t i = 0; i < path.links.size(); ++i) {
-    const topo::Link& link = net.link(path.links[i]);
+  for (auto it = path.links.begin(); it != path.links.end(); ++it) {
+    const topo::Link& link = net.link(*it);
     if (link.from != at)
       throw std::invalid_argument("Path: discontiguous route");
     at = link.to;
-    if (path.occupancy.contains(link.id))
+    if (std::find(path.links.begin(), it, *it) != it)
       throw std::invalid_argument("Path: route visits a link twice");
-    path.occupancy.insert(link.id);
   }
   if (at != request.dst)
     throw std::invalid_argument("Path: route does not end at destination");
@@ -42,6 +44,24 @@ Path assemble(const topo::Network& net, Request request,
 }
 
 }  // namespace
+
+bool Path::conflicts_with(const Path& other) const {
+  if (link_count != other.link_count)
+    throw std::invalid_argument(
+        "Path::conflicts_with: paths over " + std::to_string(link_count) +
+        " and " + std::to_string(other.link_count) + " links");
+  return std::find_first_of(links.begin(), links.end(), other.links.begin(),
+                            other.links.end()) != links.end();
+}
+
+bool intersects(const LinkSet& set, const Path& path) {
+  if (set.universe_size() != path.link_count)
+    throw std::invalid_argument(
+        "intersects: link set over " + std::to_string(set.universe_size()) +
+        " links, path over " + std::to_string(path.link_count));
+  return std::any_of(path.links.begin(), path.links.end(),
+                     [&set](topo::LinkId link) { return set.contains(link); });
+}
 
 Path make_path(const topo::Network& net, Request request) {
   return assemble(net, request, net.route_links(request.src, request.dst));

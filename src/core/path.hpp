@@ -11,6 +11,11 @@
 /// injection link, the network links chosen by the router, and the ejection
 /// link.  Scheduling algorithms operate on paths, not raw requests, because
 /// conflicts are defined over the links a route actually occupies.
+///
+/// A path is sparse: it stores its own links (at most diameter + 2 ids)
+/// and nothing sized to the network.  Whatever needs a dense view of many
+/// paths' links keeps one of its own: a configuration's single `used_`
+/// set, `validate_disjoint`'s running union, `LinkOccupancy`'s index.
 
 namespace optdm::core {
 
@@ -20,13 +25,15 @@ namespace optdm::core {
 ///  * `links` starts with `src`'s injection link and ends with `dst`'s
 ///    ejection link;
 ///  * consecutive links are contiguous (`link[i].to == link[i+1].from`);
-///  * no link repeats (`occupancy.size() == links.size()`).
+///  * no link repeats, and every link id is below `link_count`.
 struct Path {
   Request request;
   /// All directed links, injection/ejection included, in traversal order.
   std::vector<topo::LinkId> links;
-  /// Same links as a bitset, for O(words) conflict tests.
-  LinkSet occupancy;
+  /// Link count of the network the path was routed on.  Paths (and link
+  /// sets) over different counts come from different networks and are
+  /// never compared: every such comparison throws.
+  int link_count = 0;
 
   /// Number of network (switch-to-switch) links; the "length" used by the
   /// coloring heuristic's priority and the AAPC phase ranks.
@@ -34,12 +41,15 @@ struct Path {
     return static_cast<int>(links.size()) - 2;
   }
 
-  /// True if the two paths cannot be established in the same configuration.
-  /// Throws if the paths belong to different networks (universe mismatch).
-  bool conflicts_with(const Path& other) const {
-    return occupancy.intersects(other.occupancy);
-  }
+  /// True if the two paths cannot be established in the same configuration
+  /// (they share a link).  Throws `std::invalid_argument` if the paths
+  /// belong to networks with different link counts.
+  bool conflicts_with(const Path& other) const;
 };
+
+/// True if `set` holds any link of `path`.  Throws `std::invalid_argument`
+/// if `set`'s universe is not `path.link_count`.
+bool intersects(const LinkSet& set, const Path& path);
 
 /// Routes `request` on `net` with the topology's deterministic router and
 /// wraps the result in a validated `Path`.  Throws `std::invalid_argument`

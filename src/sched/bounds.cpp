@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 namespace optdm::sched {
 
@@ -21,6 +22,9 @@ std::vector<std::int32_t> heuristic_clique(std::span<const core::Path> paths,
   });
 
   std::vector<std::int32_t> clique;
+  // stamp[link] == v while candidate v's links are marked; indices are
+  // distinct, so no reset is needed between candidates.
+  std::vector<std::int32_t> stamp;
   for (const auto v : order) {
     // A path joining a clique of k conflicts with all k members, so once
     // the degrees fall below k nothing further can join.
@@ -28,9 +32,23 @@ std::vector<std::int32_t> heuristic_clique(std::span<const core::Path> paths,
         static_cast<int>(clique.size()))
       break;
     const auto& path = paths[static_cast<std::size_t>(v)];
+    if (clique.empty()) {
+      // Members conflict pairwise, so they share the first member's link
+      // count; a candidate from another network is refused below.
+      stamp.assign(static_cast<std::size_t>(path.link_count), -1);
+    } else if (path.link_count !=
+               paths[static_cast<std::size_t>(clique.front())].link_count) {
+      throw std::invalid_argument(
+          "heuristic_clique: paths routed on different networks");
+    }
+    for (const auto link : path.links)
+      stamp[static_cast<std::size_t>(link)] = v;
     const bool fits =
         std::all_of(clique.begin(), clique.end(), [&](std::int32_t member) {
-          return path.conflicts_with(paths[static_cast<std::size_t>(member)]);
+          const auto& links = paths[static_cast<std::size_t>(member)].links;
+          return std::any_of(links.begin(), links.end(), [&](topo::LinkId l) {
+            return stamp[static_cast<std::size_t>(l)] == v;
+          });
         });
     if (fits) clique.push_back(v);
   }

@@ -5,14 +5,6 @@
 
 namespace optdm::sched {
 
-namespace {
-
-bool hits_fault(const core::Path& path, const core::LinkSet& failed) {
-  return path.occupancy.intersects(failed);
-}
-
-}  // namespace
-
 PartialFaultPlan try_route_around_faults(const topo::TorusNetwork& net,
                                          const core::RequestSet& requests,
                                          const core::LinkSet& failed) {
@@ -30,7 +22,7 @@ PartialFaultPlan try_route_around_faults(const topo::TorusNetwork& net,
     }
 
     auto direct = core::make_path(net, request);
-    if (!hits_fault(direct, failed)) {
+    if (!core::intersects(failed, direct)) {
       plan.paths.push_back(std::move(direct));
       plan.routed.push_back(index);
       continue;
@@ -53,7 +45,7 @@ PartialFaultPlan try_route_around_faults(const topo::TorusNetwork& net,
       } catch (const std::invalid_argument&) {
         continue;  // the two legs revisit a link: not a simple path
       }
-      if (hits_fault(candidate, failed)) continue;
+      if (core::intersects(failed, candidate)) continue;
       plan.paths.push_back(std::move(candidate));
       plan.routed.push_back(index);
       ++plan.rerouted;

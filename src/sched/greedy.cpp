@@ -34,10 +34,9 @@ core::Schedule first_fit(const topo::Network& net, std::span<P> paths,
   std::int64_t rejections = 0;
 
   for (auto& path : paths) {
-    if (static_cast<std::size_t>(path.occupancy.universe_size()) != link_count)
+    if (static_cast<std::size_t>(path.link_count) != link_count)
       throw std::invalid_argument(
-          "greedy_paths: path over " +
-          std::to_string(path.occupancy.universe_size()) +
+          "greedy_paths: path over " + std::to_string(path.link_count) +
           " links on a network of " + std::to_string(link_count));
     std::size_t block = 0;
     std::uint64_t taken = 0;

@@ -246,12 +246,11 @@ class Simulator {
     }
 
     // Pass 2 — route every path into the shared hop arena via
-    // `route_links_into` (no per-message route vector allocation, no
-    // per-message LinkSet: the contiguity invariants make_path
-    // re-verified per call hold by construction for every in-tree
-    // router).  Paths are laid out in queue order, so a source's backlog
-    // occupies contiguous arena storage — the order the run actually
-    // visits it.
+    // `route_links_into` (no per-message `core::Path` or route vector:
+    // the contiguity invariants make_path re-verifies per call hold by
+    // construction for every in-tree router).  Paths are laid out in
+    // queue order, so a source's backlog occupies contiguous arena
+    // storage — the order the run actually visits it.
     topo::assert_id_fits(total_hops, "dynamic-sim path arena");
     hops_.reserve(static_cast<std::size_t>(total_hops));
     advise_hugepages(hops_.data(),

@@ -16,12 +16,19 @@ using core::LinkSet;
 using core::make_path;
 using core::Schedule;
 
+/// A path's links as a bitset over its network.
+LinkSet link_set(const core::Path& path) {
+  LinkSet set(path.link_count);
+  for (const auto link : path.links) set.insert(link);
+  return set;
+}
+
 /// Reference oracle for `validate_disjoint`: the exhaustive pair scan the
 /// linear check replaced, with its message format.
 std::optional<std::string> pair_scan(const std::vector<core::Path>& paths) {
   for (std::size_t i = 0; i < paths.size(); ++i)
     for (std::size_t j = i + 1; j < paths.size(); ++j)
-      if (paths[i].occupancy.intersects(paths[j].occupancy))
+      if (link_set(paths[i]).intersects(link_set(paths[j])))
         return "configuration conflict between (" +
                std::to_string(paths[i].request.src) + "->" +
                std::to_string(paths[i].request.dst) + ") and (" +
@@ -152,7 +159,10 @@ TEST(ConfigurationTest, UsedLinksIsUnion) {
   config.add(a);
   config.add(b);
   EXPECT_EQ(config.used_links().size(),
-            a.occupancy.size() + b.occupancy.size());
+            static_cast<int>(a.links.size() + b.links.size()));
+  for (const auto* path : {&a, &b})
+    for (const auto link : path->links)
+      EXPECT_TRUE(config.used_links().contains(link));
 }
 
 TEST(ScheduleTest, AppendRejectsEmpty) {

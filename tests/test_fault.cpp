@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "patterns/named.hpp"
 #include "patterns/random.hpp"
 #include "sched/coloring.hpp"
@@ -40,7 +42,9 @@ TEST(Fault, ReroutesAroundASingleFailedFiber) {
   const core::RequestSet requests{{0, 1}};
   const auto plan = route_around_faults(net, requests, failed);
   EXPECT_EQ(plan.rerouted, 1);
-  EXPECT_FALSE(plan.paths[0].occupancy.contains(broken));
+  EXPECT_EQ(std::find(plan.paths[0].links.begin(), plan.paths[0].links.end(),
+                      broken),
+            plan.paths[0].links.end());
   EXPECT_EQ(plan.paths[0].request, requests[0]);
   EXPECT_GT(plan.paths[0].hops(), 1);  // detour is longer
 }
@@ -85,7 +89,9 @@ TEST(Fault, RepairedPatternStillSchedules) {
   const auto plan = route_around_faults(net, requests, failed);
   ASSERT_EQ(plan.paths.size(), requests.size());
   for (const auto& path : plan.paths)
-    EXPECT_FALSE(path.occupancy.intersects(failed));
+    EXPECT_TRUE(std::none_of(
+        path.links.begin(), path.links.end(),
+        [&](topo::LinkId l) { return failed.contains(l); }));
 
   const auto schedule = sched::coloring_paths(net, plan.paths);
   EXPECT_EQ(schedule.validate_against(requests), std::nullopt);
@@ -129,7 +135,9 @@ TEST_P(FaultProperty, RandomFaultsRandomPatterns) {
       64, static_cast<int>(rng.uniform(10, 200)), rng);
   const auto plan = route_around_faults(net, requests, failed);
   for (const auto& path : plan.paths) {
-    EXPECT_FALSE(path.occupancy.intersects(failed));
+    EXPECT_TRUE(std::none_of(
+        path.links.begin(), path.links.end(),
+        [&](topo::LinkId l) { return failed.contains(l); }));
     EXPECT_EQ(path.links.front(), net.injection_link(path.request.src));
     EXPECT_EQ(path.links.back(), net.ejection_link(path.request.dst));
   }

@@ -123,7 +123,8 @@ TEST(Shard, ByteIdenticalAtEveryShardCount) {
   for (const int shards : {1, 2, 4, 7}) {
     apps::SweepRunner runner(net);
     const auto sharded =
-        runner.run_sharded(grid, apps::ShardOptions{.shards = shards});
+        runner.run_sharded(grid,
+                           apps::ShardOptions{.shards = shards, .policy = {}});
     EXPECT_EQ(digest(sharded), baseline) << "shards=" << shards;
     EXPECT_EQ(sharded.supervision.retries, 0) << "shards=" << shards;
   }
@@ -144,7 +145,7 @@ TEST(Shard, MoreShardsThanCellsStillMerges) {
   // own empty ranges and must still report cleanly.
   apps::SweepRunner runner(net);
   const auto sharded =
-      runner.run_sharded(grid, apps::ShardOptions{.shards = 8});
+      runner.run_sharded(grid, apps::ShardOptions{.shards = 8, .policy = {}});
   EXPECT_EQ(digest(sharded), baseline);
 }
 
@@ -163,7 +164,8 @@ TEST(Shard, ForksCleanlyAfterThePoolIsLive) {
   apps::SweepRunner sharded(net);
   (void)sharded.run(grid);
   const auto merged =
-      digest(sharded.run_sharded(grid, apps::ShardOptions{.shards = 4}));
+      digest(sharded.run_sharded(
+          grid, apps::ShardOptions{.shards = 4, .policy = {}}));
   EXPECT_EQ(merged, baseline);
 }
 
@@ -179,7 +181,7 @@ TEST(Shard, KilledWorkerIsReforkedByteIdentically) {
   ChaosEnv chaos("kill:shard=1:cell=8");
   apps::SweepRunner runner(net);
   const auto sharded =
-      runner.run_sharded(grid, apps::ShardOptions{.shards = 3});
+      runner.run_sharded(grid, apps::ShardOptions{.shards = 3, .policy = {}});
   EXPECT_EQ(digest(sharded), baseline);
   EXPECT_EQ(sharded.supervision.retries, 1);
   EXPECT_EQ(sharded.supervision.restarts_crashed, 1);
@@ -234,7 +236,7 @@ TEST(Shard, GarbledStreamIsRejectedAndReforked) {
   ChaosEnv chaos("garble:shard=0:seed=99");
   apps::SweepRunner runner(net);
   const auto sharded =
-      runner.run_sharded(grid, apps::ShardOptions{.shards = 3});
+      runner.run_sharded(grid, apps::ShardOptions{.shards = 3, .policy = {}});
   EXPECT_EQ(digest(sharded), baseline);
   EXPECT_EQ(sharded.supervision.retries, 1);
   EXPECT_EQ(sharded.supervision.restarts_corrupt, 1);
@@ -340,16 +342,17 @@ TEST(Shard, NoFileDescriptorLeaksOnAnyPath) {
   apps::SweepRunner runner(net);
   // Warm everything fd-related once (thread pool, schedule cache) so the
   // counted window covers only run_sharded's own pipes.
-  (void)runner.run_sharded(grid, apps::ShardOptions{.shards = 2});
+  (void)runner.run_sharded(grid, apps::ShardOptions{.shards = 2, .policy = {}});
 
   const int before = open_fd_count();
   // Healthy path.
-  (void)runner.run_sharded(grid, apps::ShardOptions{.shards = 4});
+  (void)runner.run_sharded(grid, apps::ShardOptions{.shards = 4, .policy = {}});
   EXPECT_EQ(open_fd_count(), before);
   // Retry path (a worker dies and is re-forked).
   {
     ChaosEnv chaos("kill:shard=1");
-    (void)runner.run_sharded(grid, apps::ShardOptions{.shards = 3});
+    (void)runner.run_sharded(grid,
+                             apps::ShardOptions{.shards = 3, .policy = {}});
   }
   EXPECT_EQ(open_fd_count(), before);
   // Failure path (exhaustion throws; every pipe must still be closed and
@@ -379,8 +382,8 @@ TEST(Shard, InvalidConfigurationsAreRejected) {
   };
   {
     apps::SweepRunner runner(net);
-    expect_invalid(runner, apps::ShardOptions{.shards = 0});
-    expect_invalid(runner, apps::ShardOptions{.shards = -2});
+    expect_invalid(runner, apps::ShardOptions{.shards = 0, .policy = {}});
+    expect_invalid(runner, apps::ShardOptions{.shards = -2, .policy = {}});
     apps::ShardOptions negative_retries;
     negative_retries.shards = 2;
     negative_retries.policy.max_retries = -1;
@@ -406,7 +409,8 @@ TEST(Shard, MalformedChaosSpecsAreRejected) {
                            "kill:shard=1:gremlin=3", "kill:cell=2"}) {
     ChaosEnv chaos(spec);
     try {
-      (void)runner.run_sharded(grid, apps::ShardOptions{.shards = 2});
+      (void)runner.run_sharded(grid,
+                               apps::ShardOptions{.shards = 2, .policy = {}});
       FAIL() << "OPTDM_CHAOS='" << spec << "' must be rejected";
     } catch (const util::Failure& e) {
       EXPECT_EQ(e.code(), util::FailureCode::kInvalidConfig) << spec;
