@@ -11,7 +11,6 @@
 #include "aapc/ring_schedule.hpp"
 #include "aapc/torus_aapc.hpp"
 #include "apps/pipeline.hpp"
-#include "core/conflict_graph.hpp"
 #include "patterns/named.hpp"
 #include "patterns/random.hpp"
 #include "redist/redistribution.hpp"
@@ -111,38 +110,28 @@ void BM_ValidateSchedule(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidateSchedule)->Arg(8)->Arg(16);
 
-void BM_ConflictGraph(benchmark::State& state) {
+// The link→paths occupancy index and its conflict-degree pass: what the
+// coloring, the bounds and the exact solver read instead of a conflict
+// graph.
+void BM_ConflictIndex(benchmark::State& state) {
   const auto paths = core::route_all(
       torus(), pattern_of_size(static_cast<int>(state.range(0))));
   for (auto _ : state) {
-    core::ConflictGraph graph(paths);
-    benchmark::DoNotOptimize(graph.edge_count());
+    const auto index = sched::ConflictIndex::build(paths);
+    benchmark::DoNotOptimize(index.degrees.data());
   }
 }
-BENCHMARK(BM_ConflictGraph)->Arg(100)->Arg(1000)->Arg(4000);
+BENCHMARK(BM_ConflictIndex)->Arg(100)->Arg(1000)->Arg(4000);
 
-// Construction-strategy comparison: the historical all-pairs O(n²)
-// LinkSet-intersection build against the link→paths inverted index the
-// default constructor now uses.
-void BM_ConflictGraphBruteForce(benchmark::State& state) {
-  const auto paths = core::route_all(
-      torus(), pattern_of_size(static_cast<int>(state.range(0))));
-  for (auto _ : state) {
-    auto graph = core::ConflictGraph::brute_force(paths);
-    benchmark::DoNotOptimize(graph.edge_count());
-  }
-}
-BENCHMARK(BM_ConflictGraphBruteForce)->Arg(100)->Arg(1000)->Arg(4000);
-
-void BM_ConflictGraphLarge(benchmark::State& state) {
+void BM_ConflictIndexLarge(benchmark::State& state) {
   const auto paths = core::route_all(
       big_torus(), big_pattern_of_size(static_cast<int>(state.range(0))));
   for (auto _ : state) {
-    core::ConflictGraph graph(paths);
-    benchmark::DoNotOptimize(graph.edge_count());
+    const auto index = sched::ConflictIndex::build(paths);
+    benchmark::DoNotOptimize(index.degrees.data());
   }
 }
-BENCHMARK(BM_ConflictGraphLarge)->Arg(8000)->Arg(16000);
+BENCHMARK(BM_ConflictIndexLarge)->Arg(8000)->Arg(16000);
 
 void BM_Greedy(benchmark::State& state) {
   const auto paths = core::route_all(

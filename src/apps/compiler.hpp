@@ -31,8 +31,10 @@ struct CompiledPhase {
 
 /// Off-line connection-scheduling compiler for one torus network.
 ///
-/// Construction precomputes the AAPC phase decomposition (the expensive
-/// part); `compile` is then cheap enough to call per phase.
+/// Construction binds the torus AAPC phase decomposition, two lookups in
+/// the memoized `aapc::RingSchedule::for_size` table (only the first
+/// compiler for a ring size pays that table's search); `compile` runs the
+/// combined scheduler per phase.
 class CommCompiler {
  public:
   explicit CommCompiler(const topo::TorusNetwork& net);

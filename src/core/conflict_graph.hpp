@@ -9,28 +9,24 @@
 /// \file conflict_graph.hpp
 /// The conflict graph of a routed pattern: one vertex per path, an edge
 /// between every pair of paths that share a directed link.  The paper's
-/// coloring algorithm (Section 3.2) colors this graph, but works from the
-/// O(n)-memory `LinkOccupancy` index instead of materializing it, as do
-/// the lower bounds.  The graph now serves only the exact solver and the
-/// tests.
+/// coloring algorithm (Section 3.2) colors this graph, but no production
+/// path materializes it: the coloring, the lower bounds and the exact
+/// solver all work from the O(n)-memory `LinkOccupancy` index
+/// (`sched::ConflictIndex`).  The class remains only because the repo
+/// benchmark's probes time its build; it moves to `tests/`, as a test
+/// oracle, with the next change to that benchmark.
 
 namespace optdm::core {
 
-/// Immutable conflict graph over a fixed path list.
+/// Immutable conflict graph over a fixed path list, stored as CSR rows.
 class ConflictGraph {
  public:
-  /// Builds the graph from the link→paths `LinkOccupancy` index: candidate
-  /// edges are generated only from per-link occupant lists, so the cost is
-  /// O(Σ_link occupants(link)²) instead of an O(n²) test of every pair
-  /// of paths.  Per-vertex rows are discovered independently (and in
-  /// parallel); the result is identical to the brute-force construction.
-  /// Throws `std::invalid_argument` if the paths span different networks.
+  /// Builds the rows from the link→paths `LinkOccupancy` index: row sizes
+  /// are the conflict degrees, and each row is filled (in parallel) by a
+  /// neighbour walk and then sorted.  The cost is O(Σ_link occupants²),
+  /// not an O(n²) test of every pair of paths.  Throws
+  /// `std::invalid_argument` if the paths span different networks.
   explicit ConflictGraph(std::span<const Path> paths);
-
-  /// The historical all-pairs O(n²) construction.  Kept as the reference
-  /// implementation for the equivalence property tests and the
-  /// construction-strategy benchmarks; produces a bit-identical graph.
-  static ConflictGraph brute_force(std::span<const Path> paths);
 
   int vertex_count() const noexcept { return n_; }
 
@@ -41,26 +37,16 @@ class ConflictGraph {
   /// Degree of vertex `v`.
   int degree(std::int32_t v) const;
 
+  /// Binary search of `u`'s row.
   bool adjacent(std::int32_t u, std::int32_t v) const;
 
-  std::size_t edge_count() const noexcept { return edges_; }
+  std::size_t edge_count() const noexcept { return adj_.size() / 2; }
 
  private:
-  ConflictGraph() = default;
-
-  void finalize_csr(const std::vector<std::vector<std::int32_t>>& lists);
-
   int n_ = 0;
-  std::size_t edges_ = 0;
-  /// CSR adjacency.
-  std::vector<std::int32_t> adj_;
+  /// CSR adjacency: the neighbours of v are adj_[offsets_[v], offsets_[v + 1]).
   std::vector<std::size_t> offsets_;
-  /// Dense adjacency bit-matrix (row-major, n bits per row rounded up to
-  /// words) for O(1) adjacency tests.  It is O(n²/8) bytes: ~53 MB for the
-  /// 20 592 paths of the 12x12 all-to-all, plus a 67 MB CSR — which is why
-  /// the compile path no longer builds the graph.
-  std::vector<std::uint64_t> matrix_;
-  std::size_t row_words_ = 0;
+  std::vector<std::int32_t> adj_;
 };
 
 }  // namespace optdm::core

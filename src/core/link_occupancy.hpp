@@ -11,9 +11,9 @@
 /// link, the ascending list of the paths that occupy it.  Two paths
 /// conflict iff they co-occupy a link, so a path's conflict neighbours are
 /// the union of its links' occupant lists.  The index is O(Σ path lengths)
-/// memory where the conflict graph is O(n²); the coloring heuristic and the
-/// lower bounds work from it directly, and `ConflictGraph` builds its rows
-/// from it.
+/// memory where the conflict graph is O(n²); the coloring heuristic, the
+/// lower bounds and the exact solver work from it directly (through
+/// `sched::ConflictIndex`), and nothing in production builds the graph.
 
 namespace optdm::core {
 

@@ -1,11 +1,9 @@
 #include "sched/exact.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
-#include "core/conflict_graph.hpp"
 #include "sched/bounds.hpp"
 #include "sched/coloring.hpp"
 
@@ -13,14 +11,25 @@ namespace optdm::sched {
 
 namespace {
 
-/// Branch-and-bound exact graph coloring (chromatic number + witness).
+/// Branch-and-bound exact graph coloring (chromatic number + witness) of
+/// the conflict graph of an indexed path list.
 class ExactColoring {
  public:
-  ExactColoring(const core::ConflictGraph& graph, std::int64_t budget)
-      : graph_(graph),
-        n_(graph.vertex_count()),
+  /// Lists every vertex's neighbours once, through the occupancy index, for
+  /// the DFS's feasibility tests.
+  ExactColoring(const ConflictIndex& index, std::int64_t budget)
+      : degrees_(index.degrees),
+        n_(static_cast<std::int32_t>(degrees_.size())),
         budget_(budget),
-        color_(static_cast<std::size_t>(n_), -1) {}
+        color_(static_cast<std::size_t>(n_), -1),
+        neighbors_(static_cast<std::size_t>(n_)) {
+    std::vector<std::int32_t> stamp(static_cast<std::size_t>(n_), -1);
+    for (std::int32_t v = 0; v < n_; ++v) {
+      auto& row = neighbors_[static_cast<std::size_t>(v)];
+      index.occupancy.for_each_neighbor(
+          v, stamp, [&row](std::int32_t u) { row.push_back(u); });
+    }
+  }
 
   /// Returns the coloring with the fewest colors found, bounded above by
   /// `upper_bound_hint`; nullopt when the node budget is exhausted before
@@ -43,8 +52,8 @@ class ExactColoring {
     for (std::int32_t v = 0; v < n_; ++v)
       if (!in_order[static_cast<std::size_t>(v)]) rest.push_back(v);
     std::sort(rest.begin(), rest.end(), [this](std::int32_t a, std::int32_t b) {
-      const int da = graph_.degree(a);
-      const int db = graph_.degree(b);
+      const int da = degrees_[static_cast<std::size_t>(a)];
+      const int db = degrees_[static_cast<std::size_t>(b)];
       return da != db ? da > db : a < b;
     });
     for (const auto v : rest) order_[at++] = v;
@@ -76,7 +85,7 @@ class ExactColoring {
     const int limit = std::min(colors_used, best_colors_ - 1);
     for (int c = 0; c <= limit; ++c) {
       bool feasible = true;
-      for (const auto u : graph_.neighbors(v)) {
+      for (const auto u : neighbors_[static_cast<std::size_t>(v)]) {
         if (color_[static_cast<std::size_t>(u)] == c) {
           feasible = false;
           break;
@@ -90,10 +99,11 @@ class ExactColoring {
     }
   }
 
-  const core::ConflictGraph& graph_;
+  std::span<const int> degrees_;
   std::int32_t n_;
   std::int64_t budget_;
   std::vector<int> color_;
+  std::vector<std::vector<std::int32_t>> neighbors_;
   std::vector<std::int32_t> order_;
   std::vector<int> best_assignment_;
   int best_colors_ = 0;
@@ -111,17 +121,15 @@ std::optional<core::Schedule> exact_paths(const topo::Network& net,
   core::Schedule result;
   if (paths.empty()) return result;
 
-  const core::ConflictGraph graph(paths);
-
-  // The coloring heuristic provides the initial upper bound (+1 so an
+  // One index serves the search, its upper bound and its clique.  The
+  // coloring heuristic provides the initial upper bound (+1 so an
   // equally-good exact witness is still *found*, not just proven to exist).
-  const auto heuristic = coloring_paths(net, paths);
-  std::vector<int> degrees(paths.size());
-  for (std::int32_t v = 0; v < graph.vertex_count(); ++v)
-    degrees[static_cast<std::size_t>(v)] = graph.degree(v);
-  ExactColoring solver(graph, options.node_budget);
-  const auto assignment =
-      solver.solve(heuristic.degree() + 1, heuristic_clique(paths, degrees));
+  const auto index = ConflictIndex::build(paths);
+  const auto heuristic = coloring_paths(net, paths, index,
+                                        ColoringPriority::kDegreeTimesLength);
+  ExactColoring solver(index, options.node_budget);
+  const auto assignment = solver.solve(heuristic.degree() + 1,
+                                       heuristic_clique(paths, index.degrees));
   if (!assignment || !solver.proved_optimal()) return std::nullopt;
 
   const int colors =

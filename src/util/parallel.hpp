@@ -8,8 +8,9 @@
 ///
 /// The paper's argument is that connection scheduling is paid off-line by
 /// the compiler, so the compiler should use every core the build machine
-/// has: conflict-graph construction, the two branches of the combined
-/// algorithm, and batch pattern compilation in the table benches all fan
+/// has: the conflict-degree pass over the link-occupancy index, the two
+/// branches of the combined algorithm, the ring AAPC table search, and
+/// batch pattern compilation in the sweeps and the table benches all fan
 /// out through these helpers.
 ///
 /// **Determinism contract.**  `parallel_for(n, body)` calls `body(i)`

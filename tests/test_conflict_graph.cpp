@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "brute_force_graph.hpp"
 #include "core/conflict_graph.hpp"
 #include "core/link_occupancy.hpp"
 #include "patterns/random.hpp"
@@ -15,7 +16,8 @@ namespace {
 using namespace optdm;
 using core::ConflictGraph;
 
-std::vector<int> degrees_of(const ConflictGraph& graph) {
+template <typename Graph>
+std::vector<int> degrees_of(const Graph& graph) {
   std::vector<int> degrees;
   for (std::int32_t v = 0; v < graph.vertex_count(); ++v)
     degrees.push_back(graph.degree(v));
@@ -110,7 +112,8 @@ TEST(LinkOccupancy, NeighborWalksMatchTheGraph) {
   util::Rng rng(41);
   const auto paths =
       core::route_all(net, patterns::random_pattern(16, 60, rng));
-  const ConflictGraph graph(paths);
+  // The all-pairs oracle: ConflictGraph itself is built from these walks.
+  const oracle::BruteForceGraph graph(paths);
   const core::LinkOccupancy index(paths);
   EXPECT_EQ(index.conflict_degrees(), degrees_of(graph));
 

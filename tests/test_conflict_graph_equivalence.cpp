@@ -1,7 +1,7 @@
 // Property tests for the offline-compilation fast path:
 //  1. the inverted-index ConflictGraph construction matches the brute-force
-//     all-pairs construction edge-for-edge on random patterns over every
-//     topology family;
+//     all-pairs construction (brute_force_graph.hpp) edge-for-edge on random
+//     patterns over every topology family;
 //  2. coloring_paths output is byte-identical to the reference
 //     implementation (a literal O(n) best-vertex scan per selection over
 //     the conflict graph, reproduced below) for every ColoringPriority
@@ -17,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "brute_force_graph.hpp"
 #include "core/conflict_graph.hpp"
 #include "patterns/named.hpp"
 #include "patterns/random.hpp"
@@ -49,7 +50,7 @@ std::vector<Topology> topology_zoo() {
 }
 
 void expect_identical_graphs(const ConflictGraph& fast,
-                             const ConflictGraph& reference) {
+                             const oracle::BruteForceGraph& reference) {
   ASSERT_EQ(fast.vertex_count(), reference.vertex_count());
   EXPECT_EQ(fast.edge_count(), reference.edge_count());
   for (std::int32_t v = 0; v < fast.vertex_count(); ++v) {
@@ -76,7 +77,7 @@ TEST(ConflictGraphEquivalence, MatchesBruteForceOnAllTopologies) {
           patterns::random_pattern(topology.nodes, conns, rng);
       const auto paths = core::route_all(*topology.net, requests);
       const ConflictGraph fast(paths);
-      const auto reference = ConflictGraph::brute_force(paths);
+      const oracle::BruteForceGraph reference(paths);
       SCOPED_TRACE(topology.net->name() + ", " + std::to_string(conns) +
                    " connections");
       expect_identical_graphs(fast, reference);

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "brute_force_graph.hpp"
 #include "core/conflict_graph.hpp"
 #include "core/link_occupancy.hpp"
 #include "patterns/random.hpp"
@@ -197,7 +198,7 @@ TEST(Parallel, ConflictDegreesAreThreadCountInvariant) {
   const auto paths =
       core::route_all(net, patterns::random_pattern(64, 600, rng));
   const core::LinkOccupancy index(paths);
-  const auto reference = core::ConflictGraph::brute_force(paths);
+  const oracle::BruteForceGraph reference(paths);
   std::vector<int> serial;
   util::parallel_invoke([&] { serial = index.conflict_degrees(); }, [] {});
   ASSERT_EQ(serial.size(), paths.size());
